@@ -130,6 +130,9 @@ class LockstepEnumerator:
     def __init__(
         self, nest: ParallelLoopNest, num_threads: int, block_steps: int = 8192
     ) -> None:
+        if block_steps <= 0:
+            # blocks() advances by block_steps; zero or less never ends.
+            raise ValueError(f"block_steps must be positive, got {block_steps}")
         self.nest = nest
         self.space = IterationSpace.of(nest, num_threads)
         self.num_threads = num_threads

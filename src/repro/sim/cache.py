@@ -20,6 +20,27 @@ E = "E"
 S = "S"
 
 
+def set_geometry(num_lines: int, ways: int) -> tuple[int, int]:
+    """``(num_sets, ways)`` of a cache of ``num_lines`` lines.
+
+    ``ways = 0`` selects a fully-associative cache: one set holding
+    every line.  Raises :class:`ValueError` for a geometry the set
+    indexing (``line & (num_sets - 1)``) cannot serve.
+    """
+    if num_lines <= 0:
+        raise ValueError("num_lines must be positive")
+    if ways < 0:
+        raise ValueError("ways must be >= 0 (0 = fully associative)")
+    if ways == 0:
+        return 1, num_lines
+    if num_lines % ways:
+        raise ValueError(f"num_lines ({num_lines}) must divide by ways ({ways})")
+    num_sets = num_lines // ways
+    if not is_power_of_two(num_sets):
+        raise ValueError(f"set count must be a power of two, got {num_sets}")
+    return num_sets, ways
+
+
 class PrivateCache:
     """One core's private cache: ``num_sets`` LRU sets of ``ways`` lines.
 
@@ -31,24 +52,7 @@ class PrivateCache:
     __slots__ = ("num_sets", "ways", "_sets")
 
     def __init__(self, num_lines: int, ways: int) -> None:
-        if num_lines <= 0:
-            raise ValueError("num_lines must be positive")
-        if ways < 0:
-            raise ValueError("ways must be >= 0 (0 = fully associative)")
-        if ways == 0:
-            self.num_sets = 1
-            self.ways = num_lines
-        else:
-            if num_lines % ways:
-                raise ValueError(
-                    f"num_lines ({num_lines}) must divide by ways ({ways})"
-                )
-            self.num_sets = num_lines // ways
-            self.ways = ways
-            if not is_power_of_two(self.num_sets):
-                raise ValueError(
-                    f"set count must be a power of two, got {self.num_sets}"
-                )
+        self.num_sets, self.ways = set_geometry(num_lines, ways)
         self._sets: list[OrderedDict[int, str]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]

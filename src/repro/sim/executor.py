@@ -33,13 +33,17 @@ from repro.ir.loops import ParallelLoopNest
 from repro.ir.refs import AddressSpace
 from repro.ir.validate import validate_nest
 from repro.machine import MachineConfig
+from repro.machine.topology import pair_penalty_factory
 from repro.model.ownership import OwnershipListGenerator
 from repro.obs import get_registry, span
-from repro.sim.cache import E, M, PrivateCache, S
+from repro.sim.cache import set_geometry
 from repro.sim.timing import AccessCosts
 from repro.util import get_logger
 
 logger = get_logger(__name__)
+
+#: Integer-coded MESI states of the access loop (Invalid is absence).
+_S, _E, _M = 0, 1, 2
 
 
 @dataclass
@@ -95,8 +99,47 @@ class SimResult:
 
     @property
     def memory_cycles(self) -> float:
-        """Cycles spent in the memory system by the slowest thread."""
+        """The slowest thread's total cycles: its accesses plus its
+        compute and loop overhead, before the runtime overheads that
+        ``cycles`` adds (not memory cycles alone, despite the name)."""
         return float(self.per_thread_cycles.max()) if len(self.per_thread_cycles) else 0.0
+
+
+def _stride_predictions(
+    lines: np.ndarray, last: np.ndarray, stride: np.ndarray
+) -> bytes:
+    """Which of one thread's accesses in a block the stride prefetcher
+    predicts: one flag byte per access, in row-major (step, reference)
+    order.
+
+    Each reference keeps its last line and its learned line stride; an
+    access is predicted when it moves by a nonzero stride equal to the
+    learned one.  A zero move (sub-line progress) neither predicts nor
+    changes the learned stride.  ``last`` and ``stride`` carry the state
+    across blocks and are updated in place.
+    """
+    n = len(lines)
+    if not n:
+        return b""
+    delta = lines - np.vstack([last[None, :], lines[:-1]])
+    moved = delta != 0
+    # Index of the latest move at or before each step (-1: none yet).
+    latest = np.where(moved, np.arange(n)[:, None], -1)
+    np.maximum.accumulate(latest, axis=0, out=latest)
+    learned = np.empty_like(delta)
+    learned[0] = stride
+    prior = latest[:-1]
+    learned[1:] = np.where(
+        prior >= 0,
+        np.take_along_axis(delta, np.maximum(prior, 0), axis=0),
+        stride,
+    )
+    last[:] = lines[-1]
+    final = latest[-1]
+    stride[:] = np.where(
+        final >= 0, delta[np.maximum(final, 0), np.arange(lines.shape[1])], stride
+    )
+    return (moved & (delta == learned)).tobytes()
 
 
 class MulticoreSimulator:
@@ -170,11 +213,22 @@ class MulticoreSimulator:
         space: AddressSpace | None,
         max_steps: int | None,
     ) -> SimResult:
+        """Walk the trace through every core's caches, one flat loop.
+
+        Every MESI transition, directory update and LRU move happens in
+        line, on per-thread lists of per-set ``dict`` objects (insertion
+        order is LRU order) holding integer-coded states.  Its results
+        equal :class:`repro.sim.reference.ReferenceSimulator`'s, the
+        method-per-access executor it replaces, field by field: each
+        thread's step cost starts at ``per_step_cycles`` and adds its
+        accesses' integer costs in trace order, as the oracle's does.
+        """
         t0 = time.perf_counter()
+        machine = self.machine
         gen = OwnershipListGenerator(
             nest,
             num_threads,
-            line_size=self.machine.line_size,
+            line_size=machine.line_size,
             space=space,
             block_steps=self.block_steps,
         )
@@ -182,40 +236,84 @@ class MulticoreSimulator:
         loop_oh = self._parallel.loop_overhead_per_iter(nest)
         per_step_cycles = compute + loop_oh
 
-        from repro.machine.topology import pair_penalty_factory
-
-        self._pair_penalty = pair_penalty_factory(
+        c = self.costs
+        load_hit, store_hit = c.load_hit, c.store_hit
+        load_prefetched, load_shared_fill = c.load_prefetched, c.load_shared_fill
+        load_cold, store_upgrade = c.load_cold, c.store_upgrade
+        store_miss_clean = c.store_miss_clean
+        # Dirty-remote costs by (requester, owner): the base cost scaled
+        # by the pair's socket penalty, truncated to whole cycles.
+        penalty = pair_penalty_factory(
             num_threads,
-            self.machine.cores_per_socket,
+            machine.cores_per_socket,
             self.thread_placement,
-            self.machine.coherence.cross_socket_factor,
+            machine.coherence.cross_socket_factor,
         )
-        l2 = self.machine.l2
-        ways = 0 if self.fully_associative else l2.associativity
-        caches = [PrivateCache(l2.num_lines, ways) for _ in range(num_threads)]
-        # Per-thread TLBs at page granularity (the paper models the TLB
-        # as another cache level; the simulator gives each core one).
-        lines_per_page = self.machine.page_size // self.machine.line_size
-        tlbs = [
-            PrivateCache(self.machine.tlb_entries, 0) for _ in range(num_threads)
-        ]
-        tlb_miss_cycles = self.machine.tlb_miss_cycles
+        def pair_costs(base: int) -> list[list[int]]:
+            return [
+                [int(base * penalty(t, k)) for k in range(num_threads)]
+                for t in range(num_threads)
+            ]
+
+        load_rm_costs = pair_costs(c.load_remote_modified)
+        store_rm_costs = pair_costs(c.store_miss_remote_modified)
+
+        l2 = machine.l2
+        num_sets, ways = set_geometry(
+            l2.num_lines, 0 if self.fully_associative else l2.associativity
+        )
+        set_mask = num_sets - 1
+        # caches[t][set] maps line -> state; the first key is the LRU way.
+        caches = [[{} for _ in range(num_sets)] for _ in range(num_threads)]
+        # Per-thread fully-associative TLBs at page granularity (the
+        # paper models the TLB as another cache level), plus the page
+        # each TLB touched last: re-touching it changes nothing.
+        lines_per_page = machine.page_size // machine.line_size
+        tlb_entries = machine.tlb_entries
+        tlb_miss_cycles = machine.tlb_miss_cycles
+        tlbs: list[dict[int, None]] = [{} for _ in range(num_threads)]
+        tlb_last: list[int | None] = [None] * num_threads
         holders: dict[int, int] = {}
         writers: dict[int, int] = {}
         l3_seen: set[int] = set()
+        # MRU memo: a thread re-touching its last line, with a state that
+        # needs no transition, is a hit that moves nothing.
         mru_line: list[int | None] = [None] * num_threads
         mru_mod: list[bool] = [False] * num_threads
         cycles = [0.0] * num_threads
-        c = self.costs
-        counters = SimCounters()
-        total_steps = 0
 
         writes = tuple(bool(w) for w in gen.write_mask)
         n_refs = len(writes)
-        # Stride-prefetcher state per (thread, reference).
+        hit_costs = tuple(store_hit if w else load_hit for w in writes)
+        # Step memo: a thread repeating its last step's lines hits on
+        # every access and changes no cache, TLB or memo state, provided
+        # that step evicted nothing and no other thread has invalidated
+        # or downgraded one of its copies since.  Such a step costs the
+        # same float sum as any all-hit step.
+        last_row: list[list[int] | None] = [None] * num_threads
+        undisturbed = [False] * num_threads
+        repeat_cost = per_step_cycles
+        for hit_cost in hit_costs:
+            repeat_cost += hit_cost
+        # Stride-prefetcher state per (thread, reference), carried from
+        # block to block by _stride_predictions.
         use_pf = self.prefetcher
-        pf_last = [[-1] * n_refs for _ in range(num_threads)]
-        pf_delta = [[0] * n_refs for _ in range(num_threads)]
+        pf_last = [np.full(n_refs, -1, dtype=np.int64) for _ in range(num_threads)]
+        pf_delta = [np.zeros(n_refs, dtype=np.int64) for _ in range(num_threads)]
+        threads = [
+            (t, 1 << t, caches[t], tlbs[t], load_rm_costs[t], store_rm_costs[t])
+            for t in range(num_threads)
+        ]
+
+        # Event counts.  Hits are not counted: every access is exactly
+        # one hit or one of the miss outcomes below, so hits are what
+        # the misses leave of the loads and stores.
+        thread_steps = 0
+        load_prefetched_n = load_shared_fills = load_cold_n = 0
+        load_remote_modified = store_upgrades = store_miss_clean_n = 0
+        store_miss_remote_modified = invalidations = downgrades = 0
+        evictions = tlb_misses = 0
+        total_steps = 0
 
         steps_per_run = max(gen.iteration_space.steps_per_chunk_run, 1)
         progress = get_registry().gauge(
@@ -223,67 +321,204 @@ class MulticoreSimulator:
             "chunk runs completed by the in-flight simulation",
         ).labels(kernel=nest.name, threads=num_threads)
         for block in gen.blocks(max_steps):
-            block_span = span("sim.block", start_step=block.start_step)
-            block_span.__enter__()
-            rows = [mat.tolist() for mat in block.lines]
-            lengths = [len(r) for r in rows]
-            n_steps = max(lengths, default=0)
-            total_steps += n_steps
-            for s in range(n_steps):
-                for t in range(num_threads):
-                    if s >= lengths[t]:
-                        continue
-                    row = rows[t][s]
-                    cost = per_step_cycles
-                    pl = pf_last[t]
-                    pd = pf_delta[t]
-                    for k in range(n_refs):
-                        line = row[k]
-                        w = writes[k]
-                        # Prefetch prediction (evaluate before updating).
-                        # Zero deltas (sub-line progress) do not disturb a
-                        # learned line stride — real stride prefetchers
-                        # track byte strides below line granularity.
-                        delta = line - pl[k]
-                        if delta:
-                            predicted = use_pf and delta == pd[k]
-                            pd[k] = delta
-                        else:
-                            predicted = False
-                        pl[k] = line
-                        # MRU fast path: re-touch with sufficient state.
-                        if line == mru_line[t] and (mru_mod[t] or not w):
-                            if w:
-                                cost += c.store_hit
-                                counters.stores += 1
-                                counters.store_hits += 1
-                            else:
-                                cost += c.load_hit
-                                counters.loads += 1
-                                counters.load_hits += 1
+            with span("sim.block", start_step=block.start_step) as block_span:
+                rows = [mat.tolist() for mat in block.lines]
+                lengths = [len(r) for r in rows]
+                if use_pf:
+                    predictions = [
+                        _stride_predictions(mat, pf_last[t], pf_delta[t])
+                        for t, mat in enumerate(block.lines)
+                    ]
+                n_steps = max(lengths, default=0)
+                total_steps += n_steps
+                thread_steps += sum(lengths)
+                for s in range(n_steps):
+                    for t, bit, sets, tlb, load_rm, store_rm in threads:
+                        if s >= lengths[t]:
                             continue
-                        # TLB lookup (page granularity, per thread); the
-                        # MRU fast path above implies a same-page hit.
-                        page = line // lines_per_page
-                        if tlbs[t].state(page) is None:
-                            counters.tlb_misses += 1
-                            cost += tlb_miss_cycles
-                        tlbs[t].touch(page, S)
-                        cost += self._access(
-                            t, line, w, caches, holders, writers, l3_seen,
-                            mru_line, mru_mod, counters, predicted,
-                        )
-                    cycles[t] += cost
-            # block ends; state persists across blocks
-            block_span.set(steps=n_steps)
-            block_span.__exit__(None, None, None)
+                        row = rows[t][s]
+                        if undisturbed[t] and row == last_row[t]:
+                            cycles[t] += repeat_cost
+                            continue
+                        cost = per_step_cycles
+                        m_line = mru_line[t]
+                        m_mod = mru_mod[t]
+                        last_page = tlb_last[t]
+                        evicted = False
+                        for k, line in enumerate(row):
+                            w = writes[k]
+                            if line == m_line and (m_mod or not w):
+                                cost += hit_costs[k]
+                                continue
+                            # TLB lookup; the MRU path above implies a
+                            # same-page hit.
+                            page = line // lines_per_page
+                            if page != last_page:
+                                if page in tlb:
+                                    del tlb[page]
+                                else:
+                                    tlb_misses += 1
+                                    cost += tlb_miss_cycles
+                                    if len(tlb) == tlb_entries:
+                                        del tlb[next(iter(tlb))]
+                                        evicted = True
+                                tlb[page] = None
+                                last_page = page
+
+                            si = line & set_mask
+                            cset = sets[si]
+                            # A hit re-inserts the line at the MRU end.
+                            st = cset.pop(line, None)
+                            if st is not None:  # ---- hit ----
+                                if not w:
+                                    cset[line] = st
+                                    m_line = line
+                                    m_mod = st == _M
+                                    cost += load_hit
+                                elif st != _S:
+                                    if st == _E:
+                                        writers[line] = writers.get(line, 0) | bit
+                                    cset[line] = _M
+                                    m_line = line
+                                    m_mod = True
+                                    cost += store_hit
+                                else:
+                                    # S: upgrade, invalidating the other
+                                    # sharers.
+                                    remote = holders.get(line, 0) & ~bit
+                                    while remote:
+                                        low = remote & -remote
+                                        r = low.bit_length() - 1
+                                        if caches[r][si].pop(line, None) is not None:
+                                            invalidations += 1
+                                        if mru_line[r] == line:
+                                            mru_line[r] = None
+                                        undisturbed[r] = False
+                                        remote ^= low
+                                    holders[line] = bit
+                                    writers[line] = bit
+                                    cset[line] = _M
+                                    m_line = line
+                                    m_mod = True
+                                    store_upgrades += 1
+                                    cost += store_upgrade
+                                continue
+
+                            # ---- miss ----
+                            foreign_writers = writers.get(line, 0) & ~bit
+                            line_holders = holders.get(line, 0)
+                            foreign_holders = line_holders & ~bit
+                            if not w:
+                                # Remote M/E copies drop to S; only a
+                                # dirty owner's downgrade is counted.
+                                if foreign_writers:
+                                    acc = load_rm[foreign_writers.bit_length() - 1]
+                                    load_remote_modified += 1
+                                    remote = foreign_writers
+                                    counted = True
+                                    writers[line] = 0
+                                    state = _S
+                                else:
+                                    if use_pf and predictions[t][s * n_refs + k]:
+                                        acc = load_prefetched
+                                        load_prefetched_n += 1
+                                    elif foreign_holders or line in l3_seen:
+                                        acc = load_shared_fill
+                                        load_shared_fills += 1
+                                    else:
+                                        acc = load_cold
+                                        load_cold_n += 1
+                                    remote = foreign_holders
+                                    counted = False
+                                    state = _S if foreign_holders else _E
+                                # An M or E copy is always its line's
+                                # only copy, so a downgrade among two or
+                                # more holders changes nothing.
+                                if remote and not remote & (remote - 1):
+                                    r = remote.bit_length() - 1
+                                    rset = caches[r][si]
+                                    if rset.get(line, _S) != _S:
+                                        rset[line] = _S
+                                        if counted:
+                                            downgrades += 1
+                                    if mru_line[r] == line:
+                                        mru_mod[r] = False
+                                    undisturbed[r] = False
+                                holders[line] = line_holders | bit
+                                cset[line] = state
+                                m_line = line
+                                m_mod = False
+                            else:
+                                if foreign_writers:
+                                    acc = store_rm[foreign_writers.bit_length() - 1]
+                                    store_miss_remote_modified += 1
+                                else:
+                                    acc = store_miss_clean
+                                    store_miss_clean_n += 1
+                                remote = foreign_writers | foreign_holders
+                                while remote:
+                                    low = remote & -remote
+                                    r = low.bit_length() - 1
+                                    if caches[r][si].pop(line, None) is not None:
+                                        invalidations += 1
+                                    if mru_line[r] == line:
+                                        mru_line[r] = None
+                                    undisturbed[r] = False
+                                    remote ^= low
+                                holders[line] = bit
+                                writers[line] = bit
+                                cset[line] = _M
+                                m_line = line
+                                m_mod = True
+                            l3_seen.add(line)
+                            if len(cset) > ways:
+                                # Evict the LRU way.  It is never the line
+                                # just inserted, so the MRU memo stands.
+                                victim = next(iter(cset))
+                                del cset[victim]
+                                holders[victim] = holders.get(victim, 0) & ~bit
+                                writers[victim] = writers.get(victim, 0) & ~bit
+                                evictions += 1
+                                evicted = True
+                            cost += acc
+                        mru_line[t] = m_line
+                        mru_mod[t] = m_mod
+                        tlb_last[t] = last_page
+                        last_row[t] = row
+                        undisturbed[t] = not evicted
+                        cycles[t] += cost
+                # block ends; state persists across blocks
+                block_span.set(steps=n_steps)
             progress.set(total_steps // steps_per_run)
             logger.debug(
                 "sim %s: %d chunk runs done (%d steps)",
                 nest.name, total_steps // steps_per_run, total_steps,
             )
 
-        par_oh = self.machine.overheads
+        n_writes = sum(writes)
+        loads = thread_steps * (n_refs - n_writes)
+        stores = thread_steps * n_writes
+        counters = SimCounters(
+            loads=loads,
+            stores=stores,
+            load_hits=loads - load_prefetched_n - load_shared_fills
+            - load_cold_n - load_remote_modified,
+            store_hits=stores - store_upgrades - store_miss_clean_n
+            - store_miss_remote_modified,
+            load_prefetched=load_prefetched_n,
+            load_shared_fills=load_shared_fills,
+            load_cold=load_cold_n,
+            load_remote_modified=load_remote_modified,
+            store_upgrades=store_upgrades,
+            store_miss_clean=store_miss_clean_n,
+            store_miss_remote_modified=store_miss_remote_modified,
+            invalidations=invalidations,
+            downgrades=downgrades,
+            evictions=evictions,
+            tlb_misses=tlb_misses,
+        )
+
+        par_oh = machine.overheads
         trips = nest.trip_counts()
         d = nest.parallel_depth()
         outer_runs = 1
@@ -324,7 +559,7 @@ class MulticoreSimulator:
             steps=total_steps,
             counters=counters,
             elapsed_seconds=elapsed,
-            freq_ghz=self.machine.freq_ghz,
+            freq_ghz=machine.freq_ghz,
         )
         logger.debug(
             "sim %s T=%d chunk=%d: %.0f cycles, %d coherence events (%.3fs)",
@@ -332,149 +567,3 @@ class MulticoreSimulator:
             counters.coherence_events, elapsed,
         )
         return result
-
-    def _access(
-        self,
-        t: int,
-        line: int,
-        w: bool,
-        caches: list[PrivateCache],
-        holders: dict[int, int],
-        writers: dict[int, int],
-        l3_seen: set[int],
-        mru_line: list[int | None],
-        mru_mod: list[bool],
-        counters: SimCounters,
-        predicted: bool = False,
-    ) -> int:
-        """Full MESI transition for one access; returns its cycle cost."""
-        bit = 1 << t
-        cache = caches[t]
-        st = cache.state(line)
-
-        if w:
-            counters.stores += 1
-        else:
-            counters.loads += 1
-
-        if st is not None:  # ---- hit ----
-            if not w:
-                counters.load_hits += 1
-                cache.touch(line, st)
-                mru_line[t] = line
-                mru_mod[t] = st == M
-                return self.costs.load_hit
-            if st in (M, E):
-                counters.store_hits += 1
-                if st == E:
-                    writers[line] = writers.get(line, 0) | bit
-                cache.touch(line, M)
-                mru_line[t] = line
-                mru_mod[t] = True
-                return self.costs.store_hit
-            # S: upgrade — invalidate the other sharers.
-            remote = holders.get(line, 0) & ~bit
-            self._invalidate_remote(line, remote, caches, mru_line, counters)
-            holders[line] = bit
-            writers[line] = bit
-            cache.touch(line, M)
-            mru_line[t] = line
-            mru_mod[t] = True
-            counters.store_upgrades += 1
-            return self.costs.store_upgrade
-
-        # ---- miss ----
-        foreign_writers = writers.get(line, 0) & ~bit
-        foreign_holders = holders.get(line, 0) & ~bit
-        evicted: int | None
-        if not w:
-            if foreign_writers:
-                writer = foreign_writers.bit_length() - 1
-                cost = int(
-                    self.costs.load_remote_modified * self._pair_penalty(t, writer)
-                )
-                counters.load_remote_modified += 1
-                self._downgrade_remote(
-                    line, foreign_writers, caches, mru_line, mru_mod, counters
-                )
-                writers[line] = 0
-                state = S
-            elif foreign_holders:
-                if predicted:
-                    cost = self.costs.load_prefetched
-                    counters.load_prefetched += 1
-                else:
-                    cost = self.costs.load_shared_fill
-                    counters.load_shared_fills += 1
-                # An exclusive-clean holder loses E.
-                self._downgrade_remote(
-                    line, foreign_holders, caches, mru_line, mru_mod, counters,
-                    count=False,
-                )
-                state = S
-            else:
-                if predicted:
-                    cost = self.costs.load_prefetched
-                    counters.load_prefetched += 1
-                elif line in l3_seen:
-                    cost = self.costs.load_shared_fill
-                    counters.load_shared_fills += 1
-                else:
-                    cost = self.costs.load_cold
-                    counters.load_cold += 1
-                state = E
-            holders[line] = holders.get(line, 0) | bit
-            evicted = cache.touch(line, state)
-            mru_line[t] = line
-            mru_mod[t] = False
-        else:
-            if foreign_writers:
-                writer = foreign_writers.bit_length() - 1
-                cost = int(
-                    self.costs.store_miss_remote_modified
-                    * self._pair_penalty(t, writer)
-                )
-                counters.store_miss_remote_modified += 1
-            else:
-                cost = self.costs.store_miss_clean
-                counters.store_miss_clean += 1
-            remote = foreign_writers | foreign_holders
-            self._invalidate_remote(line, remote, caches, mru_line, counters)
-            holders[line] = bit
-            writers[line] = bit
-            evicted = cache.touch(line, M)
-            mru_line[t] = line
-            mru_mod[t] = True
-        l3_seen.add(line)
-
-        if evicted is not None:
-            holders[evicted] = holders.get(evicted, 0) & ~bit
-            writers[evicted] = writers.get(evicted, 0) & ~bit
-            if mru_line[t] == evicted:
-                mru_line[t] = None
-            counters.evictions += 1
-        return cost
-
-    def _invalidate_remote(
-        self, line, mask, caches, mru_line, counters
-    ) -> None:
-        while mask:
-            low = mask & -mask
-            k = low.bit_length() - 1
-            if caches[k].invalidate(line):
-                counters.invalidations += 1
-            if mru_line[k] == line:
-                mru_line[k] = None
-            mask ^= low
-
-    def _downgrade_remote(
-        self, line, mask, caches, mru_line, mru_mod, counters, count: bool = True
-    ) -> None:
-        while mask:
-            low = mask & -mask
-            k = low.bit_length() - 1
-            if caches[k].downgrade(line) and count:
-                counters.downgrades += 1
-            if mru_line[k] == line:
-                mru_mod[k] = False
-            mask ^= low

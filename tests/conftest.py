@@ -14,6 +14,7 @@ import signal
 import threading
 
 import pytest
+from hypothesis import settings
 
 from repro.ir import (
     AffineExpr,
@@ -32,6 +33,11 @@ from repro.machine import paper_machine, tiny_machine
 
 
 _TEST_TIMEOUT_S = float(os.environ.get("REPRO_TEST_TIMEOUT", "120"))
+
+#: A deeper example budget for the property suites that leave
+#: ``max_examples`` to the profile (``tests/test_sim_equivalence.py``);
+#: select it with ``pytest --hypothesis-profile=deep``.
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(autouse=True)

@@ -124,6 +124,31 @@ class TestLockstepEnumerator:
         )
         assert steps == 7
 
+    @pytest.mark.parametrize("block_steps", [0, -3])
+    @pytest.mark.parametrize("consumer", ["simulator", "model", "ownership"])
+    def test_nonpositive_block_steps_rejected(self, consumer, block_steps):
+        """A block that never advances would walk forever: every consumer
+        of the enumerator refuses it up front."""
+        from repro.machine import paper_machine
+        from repro.model import FalseSharingModel, OwnershipListGenerator
+        from repro.sim import MulticoreSimulator
+
+        nest = make_copy_nest(n=64)
+        machine = paper_machine()
+        calls = {
+            "simulator": lambda: MulticoreSimulator(
+                machine, block_steps=block_steps
+            ).run(nest, 2),
+            "model": lambda: FalseSharingModel(
+                machine, block_steps=block_steps, steady_state=False
+            ).analyze(nest, 2),
+            "ownership": lambda: OwnershipListGenerator(
+                nest, 2, line_size=64, block_steps=block_steps
+            ),
+        }
+        with pytest.raises(ValueError, match=f"block_steps .*{block_steps}"):
+            calls[consumer]()
+
     def test_empty_env_beyond_work(self):
         nest = make_copy_nest(n=4, chunk=4)
         enum = LockstepEnumerator(nest, 4)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.machine import paper_machine
+from repro.obs import get_registry, get_tracer
 from repro.sim import AccessCosts, MulticoreSimulator
 from tests.conftest import make_copy_nest, make_nested_nest
 
@@ -134,3 +135,52 @@ class TestTLBSimulation:
         r = sim.run(make_copy_nest(n=512, chunk=8), 2)
         # 2 arrays x 4 KiB: two pages per thread's view.
         assert r.counters.tlb_misses <= 8
+
+
+class TestObservabilityContract:
+    """One ``run`` emits the ``sim.run`` span, one ``sim.block`` span per
+    trace block, and the four ``sim_*`` metric families."""
+
+    @pytest.fixture
+    def observed(self):
+        tracer, registry = get_tracer(), get_registry()
+        tracer.reset()
+        tracer.enable()
+        registry.reset()
+        yield tracer, registry
+        tracer.disable()
+        tracer.reset()
+        registry.reset()
+
+    def test_spans_and_metrics(self, observed, machine):
+        tracer, registry = observed
+        # 64 iterations over 2 threads: 32 steps, blocks of 10.
+        r = MulticoreSimulator(machine, block_steps=10).run(
+            make_copy_nest(n=64), 2, chunk=1
+        )
+        events = tracer.events()
+        (run,) = [e for e in events if e.name == "sim.run"]
+        assert run.args["kernel"] == "copy.i"
+        assert run.args["threads"] == 2
+        assert run.args["chunk"] == 1
+        assert run.args["accesses"] == r.counters.accesses == 128
+        assert run.args["coherence_events"] == r.counters.coherence_events > 0
+
+        blocks = [e for e in events if e.name == "sim.block"]
+        assert [b.args["start_step"] for b in blocks] == [0, 10, 20, 30]
+        assert [b.args["steps"] for b in blocks] == [10, 10, 10, 2]
+        for b in blocks:
+            assert run.start_us <= b.start_us
+            assert b.start_us + b.dur_us <= run.start_us + run.dur_us
+
+        snap = registry.snapshot()
+        labels = '{kernel="copy.i",threads="2"}'
+        assert snap["gauges"]["sim_progress_chunk_runs" + labels] == 32
+        assert snap["gauges"]["sim_accesses_per_sec" + labels] > 0
+        assert (
+            snap["counters"]["sim_coherence_events" + labels]
+            == r.counters.coherence_events
+        )
+        seconds = snap["histograms"]['sim_run_seconds{kernel="copy.i"}']
+        assert seconds["count"] == 1
+        assert seconds["sum"] == pytest.approx(r.elapsed_seconds)
