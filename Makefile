@@ -70,25 +70,19 @@ bench-sweep-sharded-quick:
 	  assert doc['summary']['ok'], doc['failures']; \
 	  print('bench-sweep-sharded-quick OK:', json.dumps(doc['summary']))"
 
-# Engine-tier FS simulation benchmark (docs/PERFORMANCE.md): jit /
-# fast / auto tiers vs scalar reference plus the exact steady-state
-# early exit and optional segment parallelism.  Writes
-# BENCH_model.json; exits nonzero if the ≥10× micro / ≥50× large-grid
-# targets regress or any engine pair disagrees.  Tune with e.g.
-#   make bench-model ENGINE=jit SIMJOBS=4
-ENGINE  ?= all
-SIMJOBS ?= 1
+# FS detector benchmark (docs/PERFORMANCE.md): the default model (fast
+# detector + exact steady-state early exit) vs the scalar reference.
+# Writes BENCH_model.json; exits nonzero if the ≥10× micro / ≥50×
+# large-grid targets regress or the two engines disagree.
 bench-model:
-	$(PP) $(PY) benchmarks/bench_model_fastpath.py --out BENCH_model.json \
-	  --engine $(ENGINE) --sim-jobs $(SIMJOBS)
+	$(PP) $(PY) benchmarks/bench_model_fastpath.py --out BENCH_model.json
 
 # CI-sized variant: seconds instead of minutes, looser targets
-# (equivalence-only for the jit/parallel tiers).
+# (≥5× micro; no large-grid speed target).
 bench-model-quick:
 	mkdir -p $(BENCHD)
 	$(PP) $(PY) benchmarks/bench_model_fastpath.py --quick \
-	  --out $(BENCHD)/BENCH_model.json --engine $(ENGINE) \
-	  --sim-jobs $(SIMJOBS)
+	  --out $(BENCHD)/BENCH_model.json
 
 # Boot the analysis service daemon, drive the full client contract
 # (submit, NDJSON stream, warm-cache re-submit, /metrics counters) and

@@ -1,30 +1,24 @@
-"""Engine-tier FS-simulation benchmark (``make bench-model``).
+"""FS-detector benchmark (``make bench-model``).
 
-Measures every detector engine tier against the scalar reference and
-writes the numbers to a JSON report (default ``BENCH_model.json``):
+Measures the model's default (the ``fast`` detector with the exact
+steady-state early exit) against the scalar ``reference`` detector
+without it, and writes the numbers to a JSON report (default
+``BENCH_model.json``):
 
 1. **micro** — raw detector throughput (accesses/s) on a pre-generated
-   lockstep block: reference vs fast vs jit (target ≥10× for fast);
+   lockstep block: reference vs fast (target ≥10×);
 2. **tables** — wall time of representative paper configurations
-   (Table 1/2 style heat/DFT points) per tier, asserting the counters
-   stay bit-identical — including the small-trace crossover configs
-   that must *not* regress below 1×;
+   (Table 1/2 style heat/DFT points), asserting the counters stay
+   bit-identical;
 3. **large-grid** — end-to-end model wall time on grids whose working
    set far exceeds the modeled private cache, where the exact
-   steady-state early exit extrapolates most chunk runs (target ≥50×
-   for the fast tier; the jit tier targets ≥5× over fast, and
-   ``--sim-jobs`` adds segment parallelism, both on capable boxes).
+   steady-state early exit extrapolates most chunk runs (target ≥50×).
 
-Every report row records ``engine`` (resolved), ``sim_jobs`` and
-``jit_compile_s``, so the perf trajectory distinguishes tiers.  Every
-comparison re-checks result identity — the report is as much a
-correctness gate as a speed gate; in ``--quick`` mode (CI) only
-equivalence is asserted for the jit/parallel tiers.
+Every comparison re-checks result identity — the report is as much a
+correctness gate as a speed gate.
 
 Run:  PYTHONPATH=src python benchmarks/bench_model_fastpath.py
       PYTHONPATH=src python benchmarks/bench_model_fastpath.py --quick
-      PYTHONPATH=src python benchmarks/bench_model_fastpath.py \
-          --engine jit --sim-jobs 4
 """
 
 from __future__ import annotations
@@ -39,15 +33,7 @@ import numpy as np
 
 from repro.kernels import dft, heat_diffusion
 from repro.machine import paper_machine
-from repro.model import (
-    AUTO_REFERENCE_MAX_ACCESSES,
-    FalseSharingModel,
-    FSDetector,
-    FastFSDetector,
-    JitFSDetector,
-    jit_available,
-)
-from repro.model.jitdetect import jit_compile_seconds, warmup_jit
+from repro.model import FalseSharingModel, FSDetector, FastFSDetector
 
 
 def _micro(rounds: int) -> dict:
@@ -74,7 +60,7 @@ def _micro(rounds: int) -> dict:
     ref_s, ref_fs = best_of(FSDetector)
     fast_s, fast_fs = best_of(FastFSDetector)
     assert ref_fs == fast_fs, "engines disagree on the micro block"
-    out = {
+    return {
         "accesses": accesses,
         "reference_s": round(ref_s, 6),
         "fast_s": round(fast_s, 6),
@@ -82,15 +68,6 @@ def _micro(rounds: int) -> dict:
         "fast_macc_per_s": round(accesses / fast_s / 1e6, 2),
         "speedup": round(ref_s / fast_s, 1),
     }
-    if jit_available():
-        warmup_jit()  # compile outside the timed region
-        jit_s, jit_fs = best_of(JitFSDetector)
-        assert ref_fs == jit_fs, "jit disagrees on the micro block"
-        out["jit_s"] = round(jit_s, 6)
-        out["jit_macc_per_s"] = round(accesses / jit_s / 1e6, 2)
-        out["jit_speedup"] = round(ref_s / jit_s, 1)
-        out["jit_compile_s"] = round(jit_compile_seconds() or 0.0, 3)
-    return out
 
 
 def _identical(a, b) -> bool:
@@ -106,125 +83,65 @@ def _identical(a, b) -> bool:
     )
 
 
-def _tiers(requested: str, sim_jobs: int) -> list[tuple[str, str, int]]:
-    """(label, engine knob, sim_jobs) per measured tier, in order.
-
-    The reference baseline is always measured separately; ``all``
-    compares every tier this installation can run.  A requested "jit"
-    without numba still runs (it resolves to fast — the guarded-import
-    contract) and the row records the resolved engine.
-    """
-    tiers: list[tuple[str, str, int]] = []
-    if requested in ("all", "auto"):
-        tiers.append(("auto", "auto", 1))
-    if requested in ("all", "fast"):
-        tiers.append(("fast", "fast", 1))
-    if requested in ("all", "jit") and (requested == "jit" or jit_available()):
-        tiers.append(("jit", "jit", 1))
-    if sim_jobs > 1:
-        top = tiers[-1][1] if tiers else "auto"
-        tiers.append((f"{top}+sim{sim_jobs}", top, sim_jobs))
-    return tiers
-
-
-def _compare(machine, kernel, threads, chunk, tiers) -> list[dict]:
-    """Reference (no early exit) vs each optimized tier; all identical."""
+def _compare(machine, kernel, threads, chunk) -> dict:
+    """Reference (no early exit) vs the default model; identical results."""
     ref = FalseSharingModel(machine, engine="reference", steady_state=False)
     t0 = time.perf_counter()
     r_ref = ref.analyze(kernel.nest, threads, chunk=chunk)
     ref_s = time.perf_counter() - t0
 
-    rows = []
-    for label, engine, sim_jobs in tiers:
-        model = FalseSharingModel(
-            machine, engine=engine, steady_state=True, sim_jobs=sim_jobs
-        )
-        t0 = time.perf_counter()
-        r = model.analyze(kernel.nest, threads, chunk=chunk)
-        opt_s = time.perf_counter() - t0
-        assert _identical(r_ref, r), (
-            f"{kernel.nest.name} tier {label}: results diverged"
-        )
-        rows.append({
-            "kernel": kernel.nest.name,
-            "threads": threads,
-            "chunk": chunk,
-            "tier": label,
-            "engine": r.engine,
-            "sim_jobs": sim_jobs,
-            "jit_compile_s": round(jit_compile_seconds() or 0.0, 3),
-            "fs_cases": r.fs_cases,
-            "accesses": r.accesses,
-            "reference_s": round(ref_s, 3),
-            "optimized_s": round(opt_s, 3),
-            "speedup": round(ref_s / opt_s, 1) if opt_s > 0 else float("inf"),
-            "runs_extrapolated": r.runs_extrapolated,
-            "total_chunk_runs": r.total_chunk_runs,
-            "fidelity": r.fidelity,
-            "identical": True,
-        })
-    return rows
-
-
-def _print_rows(rows: list[dict]) -> None:
-    for row in rows:
-        print(f"[bench-model]   {row['kernel']:<18} {row['tier']:<10} "
-              f"ref {row['reference_s']:7.2f}s "
-              f"opt {row['optimized_s']:6.2f}s  {row['speedup']:6.1f}x  "
-              f"engine={row['engine']} "
-              f"ext {row['runs_extrapolated']}/{row['total_chunk_runs']}")
-
-
-def _speedup_table(report: dict) -> list[str]:
-    """Per-tier speedup summary over every modeled configuration."""
-    lines = [f"{'kernel':<18} {'tier':<10} {'engine':<9} "
-             f"{'sim_jobs':>8} {'speedup':>8}"]
-    for section in ("tables", "large_grid"):
-        for row in report.get(section, []):
-            lines.append(
-                f"{row['kernel']:<18} {row['tier']:<10} "
-                f"{row['engine']:<9} {row['sim_jobs']:>8} "
-                f"{row['speedup']:>7.1f}x"
-            )
-    return lines
-
-
-def run(out: str, quick: bool, engine: str, sim_jobs: int) -> int:
-    machine = paper_machine()
-    tiers = _tiers(engine, sim_jobs)
-    report: dict = {
-        "quick": quick,
-        "engine_arg": engine,
-        "sim_jobs": sim_jobs,
-        "jit_available": jit_available(),
-        "cpu_count": os.cpu_count() or 1,
+    t0 = time.perf_counter()
+    r = FalseSharingModel(machine).analyze(kernel.nest, threads, chunk=chunk)
+    opt_s = time.perf_counter() - t0
+    assert _identical(r_ref, r), f"{kernel.nest.name}: results diverged"
+    return {
+        "kernel": kernel.nest.name,
+        "threads": threads,
+        "chunk": chunk,
+        "engine": r.engine,
+        "fs_cases": r.fs_cases,
+        "accesses": r.accesses,
+        "reference_s": round(ref_s, 3),
+        "optimized_s": round(opt_s, 3),
+        "speedup": round(ref_s / opt_s, 1) if opt_s > 0 else float("inf"),
+        "runs_extrapolated": r.runs_extrapolated,
+        "total_chunk_runs": r.total_chunk_runs,
+        "fidelity": r.fidelity,
+        "identical": True,
     }
+
+
+def _print_row(row: dict) -> None:
+    print(f"[bench-model]   {row['kernel']:<18} "
+          f"ref {row['reference_s']:7.2f}s "
+          f"opt {row['optimized_s']:6.2f}s  {row['speedup']:6.1f}x  "
+          f"engine={row['engine']} "
+          f"ext {row['runs_extrapolated']}/{row['total_chunk_runs']}")
+
+
+def run(out: str, quick: bool) -> int:
+    machine = paper_machine()
+    report: dict = {"quick": quick, "cpu_count": os.cpu_count() or 1}
 
     print("[bench-model] micro: detector block throughput")
     report["micro"] = micro = _micro(rounds=3 if quick else 5)
-    line = (f"[bench-model]   reference {micro['reference_macc_per_s']:.2f} "
-            f"Macc/s  fast {micro['fast_macc_per_s']:.2f} Macc/s  "
-            f"speedup {micro['speedup']}x")
-    if "jit_speedup" in micro:
-        line += (f"  jit {micro['jit_macc_per_s']:.2f} Macc/s "
-                 f"({micro['jit_speedup']}x, "
-                 f"compile {micro['jit_compile_s']}s)")
-    print(line)
+    print(f"[bench-model]   reference {micro['reference_macc_per_s']:.2f} "
+          f"Macc/s  fast {micro['fast_macc_per_s']:.2f} Macc/s  "
+          f"speedup {micro['speedup']}x")
 
     print("[bench-model] tables: paper-style configurations")
     table_cfgs = [
         (heat_diffusion(rows=6, cols=1026), 8, 1),
         (dft(samples=4, freqs=768), 8, 1),
-        # The 0.8× regression config: a tiny table trace (1.5k accesses,
-        # below AUTO_REFERENCE_MAX_ACCESSES) that must ride the
-        # auto→reference crossover instead of paying vectorization.
+        # A tiny table trace (1.5k accesses): the row shows what the
+        # steady-state runner's per-window setup costs on short loops.
         (heat_diffusion(rows=4, cols=130), 8, 1),
     ]
     report["tables"] = []
     for kernel, threads, chunk in table_cfgs:
-        rows = _compare(machine, kernel, threads, chunk, tiers)
-        report["tables"].extend(rows)
-        _print_rows(rows)
+        row = _compare(machine, kernel, threads, chunk)
+        report["tables"].append(row)
+        _print_row(row)
 
     if quick:
         large_cfgs = [
@@ -237,51 +154,15 @@ def run(out: str, quick: bool, engine: str, sim_jobs: int) -> int:
             (dft(samples=4, freqs=1310720), 8, 1),
         ]
     print("[bench-model] large-grid: steady-state end-to-end")
-    report["large_grid"] = []
+    report["large_grid"] = large = []
     for kernel, threads, chunk in large_cfgs:
-        rows = _compare(machine, kernel, threads, chunk, tiers)
-        report["large_grid"].extend(rows)
-        _print_rows(rows)
-
-    print("[bench-model] per-tier speedup table")
-    for line in _speedup_table(report):
-        print(f"[bench-model]   {line}")
-
-    large = report["large_grid"]
-    fast_large = [r for r in large if r["engine"] == "fast"
-                  and r["sim_jobs"] == 1]
-    jit_large = [r for r in large if r["engine"] == "jit"
-                 and r["sim_jobs"] == 1]
-    auto_large = [r for r in large if r["tier"] == "auto"]
-    crossover_rows = [r for r in report["tables"]
-                      if r["tier"] == "auto"
-                      and r["accesses"] < AUTO_REFERENCE_MAX_ACCESSES]
+        row = _compare(machine, kernel, threads, chunk)
+        large.append(row)
+        _print_row(row)
 
     micro_ok = micro["speedup"] >= (5.0 if quick else 10.0)
     steady_ok = all(r["runs_extrapolated"] > 0 for r in large)
-    e2e_rows = fast_large or auto_large or large
-    e2e_ok = quick or all(r["speedup"] >= 50.0 for r in e2e_rows)
-    # Tiny-trace crossover (the old 0.8× regression): sub-crossover
-    # "auto" rows must route to the scalar reference.  The gate is on
-    # routing, not wall time — these configs finish in single-digit
-    # milliseconds, where single-shot ratios are timer noise.
-    crossover_ok = all(r["engine"] == "reference" for r in crossover_rows)
-    # The jit tier's ≥5×-over-fast gate needs numba, a multi-core box
-    # and full-size grids; otherwise equivalence (asserted above) is
-    # the contract.
-    jit_gate_applies = (
-        bool(jit_large) and bool(fast_large) and not quick
-        and (os.cpu_count() or 1) >= 4
-    )
-    jit_ok = True
-    if jit_gate_applies:
-        jit_vs_fast = [
-            f["optimized_s"] / j["optimized_s"]
-            for f, j in zip(fast_large, jit_large)
-            if j["optimized_s"] > 0
-        ]
-        jit_ok = all(x >= 5.0 for x in jit_vs_fast)
-        report["jit_vs_fast_speedups"] = [round(x, 1) for x in jit_vs_fast]
+    e2e_ok = quick or all(r["speedup"] >= 50.0 for r in large)
 
     report["summary"] = {
         "micro_speedup": micro["speedup"],
@@ -290,18 +171,14 @@ def run(out: str, quick: bool, engine: str, sim_jobs: int) -> int:
         "micro_target_met": micro_ok,
         "steady_state_fired": steady_ok,
         "large_grid_target_met": e2e_ok,
-        "crossover_no_regression": crossover_ok,
-        "jit_gate_applies": jit_gate_applies,
-        "jit_target_met": jit_ok,
     }
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     print(f"[bench-model] wrote {out}")
-    if not (micro_ok and steady_ok and e2e_ok and crossover_ok and jit_ok):
+    if not (micro_ok and steady_ok and e2e_ok):
         print("[bench-model] FAILED: performance targets not met "
               f"(micro_ok={micro_ok}, steady_ok={steady_ok}, "
-              f"e2e_ok={e2e_ok}, crossover_ok={crossover_ok}, "
-              f"jit_ok={jit_ok})", file=sys.stderr)
+              f"e2e_ok={e2e_ok})", file=sys.stderr)
         return 1
     return 0
 
@@ -310,18 +187,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_model.json")
     parser.add_argument("--quick", action="store_true",
-                        help="CI-sized grids (seconds; equivalence-only "
-                             "for the jit/parallel tiers)")
-    parser.add_argument("--engine", default="all",
-                        choices=("all", "auto", "fast", "jit"),
-                        help="which optimized tier(s) to measure "
-                             "(default all available)")
-    parser.add_argument("--sim-jobs", type=int,
-                        default=min(4, os.cpu_count() or 1),
-                        help="segment-parallel workers for the parallel "
-                             "tier (default min(4, cores); 1 disables)")
+                        help="CI-sized grids (seconds; the large-grid "
+                             "speed target is not asserted)")
     args = parser.parse_args(argv)
-    return run(args.out, args.quick, args.engine, args.sim_jobs)
+    return run(args.out, args.quick)
 
 
 if __name__ == "__main__":

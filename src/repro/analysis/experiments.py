@@ -96,25 +96,19 @@ class ExperimentSuite(SupplementaryMixin):
     scale:
         ``"full"`` or ``"tiny"`` (see module docstring).
     detector_engine:
-        Detector engine for every modeled table/figure: ``"auto"``
-        (default — vectorized fast path where applicable), ``"jit"``,
-        ``"fast"`` or ``"reference"``.  All engines produce
-        bit-identical tables; the knob exists for benchmarking and
-        cross-checking.
+        Detector engine for every modeled table/figure: ``"fast"``
+        (default) or ``"reference"``.  Both produce bit-identical
+        tables; the knob exists for benchmarking and cross-checking.
     steady_state:
         Enable the exact steady-state early exit (default ``True``).
-    sim_jobs:
-        Segment-parallel simulation workers per analysis (default
-        ``1``; see :mod:`repro.model.simparallel`).  Result-invariant.
     """
 
     def __init__(
         self,
         machine: MachineConfig | None = None,
         scale: str = "full",
-        detector_engine: str = "auto",
+        detector_engine: str = "fast",
         steady_state: bool = True,
-        sim_jobs: int = 1,
     ) -> None:
         if scale not in SCALES:
             raise ValueError(f"unknown scale {scale!r}; use one of {set(SCALES)}")
@@ -122,10 +116,8 @@ class ExperimentSuite(SupplementaryMixin):
         self.scale = SCALES[scale]
         self.detector_engine = detector_engine
         self.steady_state = steady_state
-        self.sim_jobs = sim_jobs
         self.model = FalseSharingModel(
             self.machine, engine=detector_engine, steady_state=steady_state,
-            sim_jobs=sim_jobs,
         )
         self.sim = MulticoreSimulator(self.machine)
         self.total_model = TotalCostModel(self.machine)
@@ -411,13 +403,12 @@ class ExperimentSuite(SupplementaryMixin):
         machine_key = self.machine.to_key_dict()
         # Engine knobs ride in the payload, never the hashed spec: all
         # detector engines are result-identical, so the cache key must
-        # not fork on them (a table computed under "reference" serves an
-        # "auto" re-run and vice versa).
+        # not fork on them (a table computed under "reference" serves a
+        # "fast" re-run and vice versa).
         payload = {
             "machine": self.machine,
             "detector_engine": self.detector_engine,
             "steady_state": self.steady_state,
-            "sim_jobs": self.sim_jobs,
         }
         jobs = []
         for name in drivers if drivers is not None else DRIVER_ORDER:
@@ -542,8 +533,7 @@ def run_experiment_job(job) -> dict:
     suite = ExperimentSuite(
         machine=machine,
         scale=str(job.spec["scale"]),
-        detector_engine=str(job.payload.get("detector_engine", "auto")),
+        detector_engine=str(job.payload.get("detector_engine", "fast")),
         steady_state=bool(job.payload.get("steady_state", True)),
-        sim_jobs=int(job.payload.get("sim_jobs", 1)),
     )
     return suite.run_driver(str(job.spec["driver"])).to_dict()

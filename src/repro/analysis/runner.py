@@ -25,6 +25,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.paper import PAPER_EXPECTATIONS, deviations_section
 from repro.analysis.report import ExperimentResult
+from repro.model import ENGINES
 from repro.resilience.partial import FailureReport
 
 
@@ -79,17 +80,13 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                              "(0 disables the memory tier; default 64)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result store")
-    parser.add_argument("--engine",
-                        choices=("auto", "jit", "fast", "reference"),
-                        default="auto", dest="detector_engine",
-                        help="FS detector engine (default auto; all "
+    parser.add_argument("--engine", choices=ENGINES, default="fast",
+                        dest="detector_engine",
+                        help="FS detector engine (default fast; both "
                              "engines produce identical tables)")
     parser.add_argument("--no-steady-state", action="store_true",
                         help="disable the exact steady-state early exit "
                              "(slower; identical results)")
-    parser.add_argument("--sim-jobs", type=int, default=1, metavar="N",
-                        help="segment-parallel simulation workers per "
-                             "analysis (default 1; identical results)")
     return parser.parse_args(argv)
 
 
@@ -153,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
         scale=args.scale,
         detector_engine=args.detector_engine,
         steady_state=not args.no_steady_state,
-        sim_jobs=args.sim_jobs,
     )
     reuse = None
     if args.jobs > 1 or args.shards > 1 or not args.no_cache:

@@ -71,7 +71,7 @@ from repro.costmodels import TotalCostModel
 from repro.frontend import parse_c_source
 from repro.ir import analyze_dependences
 from repro.machine import paper_machine
-from repro.model import FalseSharingModel, FalseSharingPredictor
+from repro.model import ENGINES, FalseSharingModel, FalseSharingPredictor
 from repro.resilience import Budget, FailurePolicy, FailureReport, ReproError
 from repro.transform import ChunkSizeOptimizer
 
@@ -104,27 +104,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=("auto", "jit", "fast", "reference"),
-                   default="auto", dest="detector_engine",
-                   help="FS detector engine (default auto: JIT tier when "
-                        "numba is installed, else the vectorized fast path, "
-                        "with scalar fallback for tiny traces; all engines "
+    p.add_argument("--engine", choices=ENGINES, default="fast",
+                   dest="detector_engine",
+                   help="FS detector engine (default fast: the vectorized "
+                        "detector; reference pins the scalar oracle; both "
                         "produce bit-identical results)")
     p.add_argument("--no-steady-state", action="store_true",
                    help="disable the exact steady-state early exit "
                         "(slower on large grids; identical results)")
-    p.add_argument("--sim-jobs", type=int, default=1, metavar="N",
-                   help="segment-parallel simulation workers per analysis "
-                        "(default 1 = serial; results are bit-identical "
-                        "for any worker count)")
 
 
 def _model_kwargs(args: argparse.Namespace) -> dict:
     """Engine knobs shared by every model-building command."""
     return {
-        "engine": getattr(args, "detector_engine", "auto"),
+        "engine": getattr(args, "detector_engine", "fast"),
         "steady_state": not getattr(args, "no_steady_state", False),
-        "sim_jobs": getattr(args, "sim_jobs", 1),
     }
 
 
@@ -348,8 +342,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     kwargs = _model_kwargs(args)
     suite = ExperimentSuite(scale=args.scale,
                             detector_engine=kwargs["engine"],
-                            steady_state=kwargs["steady_state"],
-                            sim_jobs=kwargs["sim_jobs"])
+                            steady_state=kwargs["steady_state"])
     policy = _policy_from(args)
     results = list(suite.run_all(engine=_engine_from(args), policy=policy))
     for res in results:
@@ -409,8 +402,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = WhatIfSweep(machine, use_predictor=not args.exact,
                         predictor_runs=args.runs, mode=args.mode,
                         detector_engine=kwargs["engine"],
-                        steady_state=kwargs["steady_state"],
-                        sim_jobs=kwargs["sim_jobs"])
+                        steady_state=kwargs["steady_state"])
     threads = tuple(int(t) for t in args.threads_list.split(","))
     chunks = tuple(int(c) for c in args.chunks_list.split(","))
     engine = _engine_from(args)
@@ -513,8 +505,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         journal_dir=args.journal_dir,
         quarantine_after=args.quarantine_after,
         max_queue_depth=args.max_queue_depth,
-        detector_engine=args.detector_engine,
-        sim_jobs=args.sim_jobs,
     )
     return serve(config)
 
@@ -688,14 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shed new submissions with 503 + Retry-After "
                         "(REPRO-E106) while N or more jobs are queued; "
                         "0 = unbounded (default)")
-    p.add_argument("--engine", choices=("auto", "jit", "fast", "reference"),
-                   default="auto", dest="detector_engine",
-                   help="FS detector engine for sweep cells (default "
-                        "auto; results and cache keys are identical "
-                        "for every engine)")
-    p.add_argument("--sim-jobs", type=int, default=1, metavar="N",
-                   help="segment-parallel simulation workers per "
-                        "analysis (default 1; identical results)")
     p.set_defaults(func=cmd_serve)
     return parser
 

@@ -80,7 +80,6 @@ class Job:
 #: so a worker process only imports the subsystem its job touches.
 BUILTIN_RUNNERS: dict[str, str] = {
     "whatif.point": "repro.model.whatif:run_point_job",
-    "model.segment": "repro.model.simparallel:run_segment_job",
     "experiment.driver": "repro.analysis.experiments:run_experiment_job",
     "sensitivity.output": "repro.analysis.sensitivity:run_output_job",
     # Test doubles (used by tests/test_engine.py to exercise crash

@@ -124,6 +124,9 @@ class _Attempt:
     index: int  # position in the caller's job list
     attempts: int = 0
     history: list[str] = None  # errors of non-final attempts
+    #: Suspect of an unattributed worker death: runs with nothing
+    #: beside it, so a repeat death has a single suspect.
+    isolate: bool = False
 
     def __post_init__(self) -> None:
         if self.history is None:
@@ -361,6 +364,11 @@ class WorkerPool:
                 while (
                     not broken and not self.closing
                     and queue and len(inflight) < self.workers
+                    # A suspect of an unattributed death runs alone.
+                    and not (inflight and (
+                        queue[0].isolate
+                        or any(a.isolate for a, _ in inflight.values())
+                    ))
                 ):
                     att = queue.pop(0)
                     att.attempts += 1
@@ -416,6 +424,12 @@ class WorkerPool:
         overrun ``timeout_s`` without completing, and
         :class:`BrokenProcessPool` when a worker died (after recording
         the victims for retry).
+
+        A worker death breaks every in-flight future at once, so it is
+        charged (a counted attempt, ``REPRO-E102`` once retries run
+        out) only when a single job was in flight.  With several
+        suspects none is charged: each reruns alone on the fresh
+        executor, where a repeat death has one suspect.
         """
         wait_budget = None
         if self.timeout_s is not None:
@@ -428,19 +442,14 @@ class WorkerPool:
         )
         if not finished and self.timeout_s is not None:
             raise _Timeout
-        saw_broken = False
+        suspects: list[tuple[_Attempt, float]] = []
         for fut in finished:
             att, t0 = inflight.pop(fut)
             elapsed = time.perf_counter() - t0
             try:
                 result = fut.result()
             except BrokenProcessPool:
-                self._crashes_total.inc()
-                self._retry_or_fail(
-                    att, "worker process died (crash)", elapsed, finish, retry,
-                    code="REPRO-E102",
-                )
-                saw_broken = True
+                suspects.append((att, elapsed))
                 continue
             except Exception as exc:  # noqa: BLE001 - surfaced per job
                 self._retry_or_fail(
@@ -455,18 +464,24 @@ class WorkerPool:
                     duration_s=elapsed, retry_history=tuple(att.history),
                 ),
             )
-        if saw_broken:
-            # Drain the rest: once broken, every sibling future fails.
-            for fut, (att, t0) in list(inflight.items()):
-                inflight.pop(fut)
+        if suspects:
+            # Once broken, every sibling still in flight fails too.
+            now = time.perf_counter()
+            suspects += [(att, now - t0) for att, t0 in inflight.values()]
+            inflight.clear()
+            self._crashes_total.inc()
+            if len(suspects) == 1:
+                att, elapsed = suspects[0]
                 self._retry_or_fail(
-                    att,
-                    "worker pool broken by a sibling crash",
-                    time.perf_counter() - t0,
-                    finish,
-                    retry,
-                    count_attempt=False,
+                    att, "worker process died (crash)", elapsed, finish, retry,
+                    code="REPRO-E102",
                 )
+            else:
+                for att, _ in suspects:
+                    # Not run to a verdict: the attempt costs no budget.
+                    att.attempts -= 1
+                    att.isolate = True
+                    retry.append(att)
             raise BrokenProcessPool("worker died")
 
     def _retry_or_fail(
@@ -476,15 +491,8 @@ class WorkerPool:
         elapsed: float,
         finish: Callable[[int, JobOutcome], None],
         retry: list[_Attempt],
-        count_attempt: bool = True,
         code: str = EngineError.code,
     ) -> None:
-        if not count_attempt:
-            # Collateral damage (sibling crash): the attempt did not run
-            # to a verdict, so it does not consume budget.
-            att.attempts -= 1
-            retry.append(att)
-            return
         if att.attempts > self.retries:
             logger.warning(
                 "job %s failed permanently after %d attempt(s): %s",

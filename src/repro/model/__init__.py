@@ -9,13 +9,12 @@ Pipeline (Section III):
 plus :mod:`~repro.model.regression` (the linear-regression FS predictor)
 and :mod:`~repro.model.cost` (Eq. 1 integration / Eq. 5 percentages).
 
-Performance machinery (docs/PERFORMANCE.md): step 4 has a vectorized
-NumPy twin (:mod:`~repro.model.fastdetect`, ``engine="fast"``), an
-optional JIT-compiled tier (:mod:`~repro.model.jitdetect`,
-``engine="jit"``, guarded numba import), an exact steady-state early
-exit (:mod:`~repro.model.steadystate`), and segment-parallel
-simulation across worker processes (:mod:`~repro.model.simparallel`,
-``sim_jobs``) — all bit-identical to the scalar reference detector.
+Performance machinery (docs/PERFORMANCE.md): step 4 runs on one fast
+detector, the vectorized NumPy twin in :mod:`~repro.model.fastdetect`
+(``engine="fast"``, the default).  An exact steady-state early exit
+(:mod:`~repro.model.steadystate`) closes periodic loops.  Both are
+bit-identical to the scalar reference detector (``engine="reference"``),
+the oracle every equivalence suite compares against.
 """
 
 from repro.model.cost import (
@@ -27,24 +26,12 @@ from repro.model.cost import (
 )
 from repro.model.detector import FSDetector, FSStats
 from repro.model.diagnostics import FSDiagnostics, HotLine, diagnose
-from repro.model.fastdetect import (
-    AUTO_REFERENCE_MAX_ACCESSES,
-    ENGINES,
-    FastFSDetector,
-    make_detector,
-    resolve_engine,
-)
+from repro.model.fastdetect import ENGINES, FastFSDetector, make_detector
 from repro.model.fsmodel import (
     FalseSharingModel,
     FSCycleRate,
     FSModelResult,
     VictimArray,
-)
-from repro.model.jitdetect import (
-    NUMBA_AVAILABLE,
-    JitFSDetector,
-    jit_available,
-    warmup_jit,
 )
 from repro.model.ownership import OwnershipBlock, OwnershipListGenerator
 from repro.model.regression import (
@@ -67,11 +54,6 @@ from repro.model.stackdist import (
     SHARED,
     StackDistanceAnalyzer,
 )
-from repro.model.simparallel import (
-    plan_segments,
-    segment_eligible,
-    simulate_segmented,
-)
 from repro.model.steadystate import (
     ShiftProfile,
     SteadyStateRunner,
@@ -90,18 +72,9 @@ __all__ = [
     "FSDiagnostics",
     "HotLine",
     "diagnose",
-    "AUTO_REFERENCE_MAX_ACCESSES",
     "ENGINES",
     "FastFSDetector",
-    "NUMBA_AVAILABLE",
-    "JitFSDetector",
-    "jit_available",
-    "warmup_jit",
     "make_detector",
-    "resolve_engine",
-    "plan_segments",
-    "segment_eligible",
-    "simulate_segmented",
     "ShiftProfile",
     "SteadyStateRunner",
     "compute_shift_profile",

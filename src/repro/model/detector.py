@@ -502,73 +502,6 @@ class FSDetector:
         self._mru_line = [None] * self.num_threads
         self._mru_mod = [False] * self.num_threads
 
-    # -- state serialization (segment-parallel simulation) ----------------------------
-
-    def export_state(self) -> dict:
-        """Portable snapshot of the complete cache state.
-
-        The stacks alone determine the detector's future behaviour —
-        thread ``t`` holds a line iff it is in ``t``'s stack and writes
-        it iff that entry is Modified, in *both* coherence modes — so
-        the snapshot carries only the per-thread stack contents in
-        LRU→MRU order (line ids + Modified flags).  Picklable and
-        JSON-friendly; counters are deliberately excluded (a segment
-        worker ships its stat deltas separately).
-        """
-        return {
-            "version": 1,
-            "stacks": [
-                [
-                    list(stack.keys()),
-                    [st == MODIFIED for st in stack.values()],
-                ]
-                for stack in self._stacks
-            ],
-        }
-
-    def import_state(self, state: dict) -> None:
-        """Install a snapshot from :meth:`export_state`.
-
-        Rebuilds the holder/writer directory from the stacks and resets
-        the MRU memo; the stats accumulator is left untouched.  A
-        detector that imports another's exported state continues
-        bit-identically to the exporter (same fingerprint, same future
-        counters on the same access stream).
-        """
-        stacks_raw = state["stacks"]
-        if len(stacks_raw) != self.num_threads:
-            raise ModelError(
-                f"state has {len(stacks_raw)} stacks; detector has "
-                f"{self.num_threads} threads"
-            )
-        new_stacks: list[OrderedDict[int, str]] = []
-        holders: dict[int, int] = {}
-        writers: dict[int, int] = {}
-        for t, (lines, mods) in enumerate(stacks_raw):
-            if len(lines) > self.stack_lines:
-                raise ModelError(
-                    f"stack {t} has {len(lines)} lines; capacity is "
-                    f"{self.stack_lines}"
-                )
-            bit = 1 << t
-            stack: OrderedDict[int, str] = OrderedDict()
-            hg = holders.get
-            wg = writers.get
-            for line, mod in zip(lines, mods):
-                line = int(line)
-                stack[line] = MODIFIED if mod else SHARED
-                holders[line] = hg(line, 0) | bit
-                if mod:
-                    writers[line] = wg(line, 0) | bit
-            if len(stack) != len(lines):
-                raise ModelError(f"stack {t} contains duplicate lines")
-            new_stacks.append(stack)
-        self._stacks = new_stacks
-        self._holders = holders
-        self._writers = writers
-        self._mru_line = [None] * self.num_threads
-        self._mru_mod = [False] * self.num_threads
-
     # -- inspection -------------------------------------------------------------------
 
     def cache_state(self, thread: int) -> list[tuple[int, str]]:

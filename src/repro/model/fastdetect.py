@@ -64,17 +64,16 @@ from repro.obs import get_registry
 from repro.resilience.errors import ModelError
 
 __all__ = [
-    "AUTO_REFERENCE_MAX_ACCESSES",
     "ENGINES",
     "MAX_FAST_THREADS",
     "MIN_FAST_EVENTS",
     "FastFSDetector",
     "make_detector",
-    "resolve_engine",
 ]
 
-#: Valid values for the model's ``engine`` knob.
-ENGINES = ("auto", "jit", "fast", "reference")
+#: Valid values for the model's ``engine`` knob: the vectorized detector
+#: (the default everywhere) and the scalar reference it is checked against.
+ENGINES = ("fast", "reference")
 
 #: The vectorized core keeps thread-holder sets in uint64 bitmasks;
 #: thread counts beyond this fall back to the reference detector.
@@ -83,21 +82,6 @@ MAX_FAST_THREADS = 63
 #: Blocks with fewer total events than this run through the scalar
 #: reference path — the array setup cost exceeds the per-access loop.
 MIN_FAST_EVENTS = 192
-
-#: Measured crossover for ``engine="auto"``: analyses whose *total*
-#: modeled access count falls below this run the scalar reference
-#: detector — on tiny/table-sized traces the vectorized machinery's
-#: fixed setup cost exceeds the whole per-access loop (BENCH_model.json
-#: showed 0.8× on an 8×1 table config before this gate).  Measured on
-#: the paper machine the break-even sits near 500–800 accesses (0.87×
-#: at 192, 0.97× at 384, 1.34× at 768, 3.1× at 9k); small-cap machines
-#: whose eviction churn dominates stay reference-friendly well past
-#: that, so the gate is set a power-of-two above break-even where a
-#: misroute in either direction costs under a millisecond.  Callers
-#: that know the trace size pass it as
-#: ``resolve_engine(..., accesses=...)``; without the hint ``auto``
-#: behaves as before.
-AUTO_REFERENCE_MAX_ACCESSES = 4096
 
 _POP8: np.ndarray | None = None
 
@@ -118,68 +102,21 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def resolve_engine(
-    engine: str,
-    mode: str,
-    num_threads: int,
-    accesses: int | None = None,
-) -> str:
-    """Resolve the ``engine`` knob to a concrete detector engine.
+def make_detector(
+    engine: str, num_threads: int, stack_lines: int, mode: str = "invalidate"
+) -> FSDetector:
+    """Build the detector ``engine`` names.
 
-    Preference order by availability and trace size (all engines are
-    result-identical, so this is a pure performance decision):
-
-    * ``"jit"`` resolves to itself when the optional numba toolchain is
-      usable (:func:`repro.model.jitdetect.jit_available`) and falls
-      back transparently to ``"fast"`` otherwise — the documented
-      no-dependency contract.
-    * ``"auto"`` prefers jit → fast → reference: the scalar reference
-      path below the measured :data:`AUTO_REFERENCE_MAX_ACCESSES`
-      crossover (when the caller supplies the ``accesses`` hint — tiny
-      traces pay more in array setup than the whole scalar loop costs),
-      otherwise the jit tier when available, the vectorized fast path
-      when the configuration permits it (``invalidate`` mode,
-      ≤ :data:`MAX_FAST_THREADS` threads), and reference last.
-    * Explicit ``"fast"``/``"reference"`` are honoured as given — the
-      fast detector still falls back block-by-block on unsupported
-      blocks.
+    ``"fast"`` gives a :class:`FastFSDetector` (which falls back block by
+    block to the scalar path where it must) and ``"reference"`` the
+    scalar :class:`~repro.model.detector.FSDetector`; both produce
+    identical results, so the choice is a pure performance knob.
     """
     if engine not in ENGINES:
         raise ModelError(
             f"unknown detector engine {engine!r}; use one of {ENGINES}"
         )
-    if engine == "jit":
-        from repro.model.jitdetect import jit_available
-
-        return "jit" if jit_available() else "fast"
-    if engine != "auto":
-        return engine
-    if accesses is not None and accesses < AUTO_REFERENCE_MAX_ACCESSES:
-        return "reference"
-    if mode == "invalidate" and num_threads <= MAX_FAST_THREADS:
-        from repro.model.jitdetect import jit_available
-
-        return "jit" if jit_available() else "fast"
-    return "reference"
-
-
-def make_detector(
-    engine: str, num_threads: int, stack_lines: int, mode: str = "invalidate"
-) -> FSDetector:
-    """Build the detector the resolved engine calls for.
-
-    Returns a :class:`~repro.model.jitdetect.JitFSDetector` for
-    ``"jit"`` (resolved), a :class:`FastFSDetector` for ``"fast"`` and
-    a reference :class:`~repro.model.detector.FSDetector` otherwise;
-    all produce identical results, so callers may treat the choice as a
-    pure performance knob.
-    """
-    resolved = resolve_engine(engine, mode, num_threads)
-    if resolved == "jit":
-        from repro.model.jitdetect import JitFSDetector
-
-        return JitFSDetector(num_threads, stack_lines, mode=mode)
-    cls = FastFSDetector if resolved == "fast" else FSDetector
+    cls = FastFSDetector if engine == "fast" else FSDetector
     return cls(num_threads, stack_lines, mode=mode)
 
 

@@ -29,10 +29,9 @@ from repro.ir.refs import AddressSpace
 from repro.ir.validate import validate_nest
 from repro.machine import MachineConfig
 from repro.model.detector import FSDetector, FSStats
-from repro.model.fastdetect import make_detector, resolve_engine
+from repro.model.fastdetect import ENGINES, make_detector
 from repro.model.ownership import OwnershipListGenerator
 from repro.model.schedule import IterationSpace
-from repro.model.simparallel import segment_eligible, simulate_segmented
 from repro.model.steadystate import SteadyStateRunner, compute_shift_profile
 from repro.obs import get_registry, span
 from repro.resilience.budget import Budget, estimate_cost
@@ -194,21 +193,15 @@ class FalseSharingModel:
     block_steps:
         Lockstep steps processed per vectorized block.
     engine:
-        Detector engine: ``"auto"`` (default — vectorized fast path
-        when the configuration permits, reference otherwise),
-        ``"fast"`` or ``"reference"``.  All engines are result-identical
-        (see :mod:`repro.model.fastdetect`); this is a pure performance
-        knob.
+        Detector engine: ``"fast"`` (default — the vectorized detector,
+        which falls back block by block to the scalar path where it
+        must) or ``"reference"`` (the scalar oracle).  Both are
+        result-identical (see :mod:`repro.model.fastdetect`); this is a
+        pure performance knob.
     steady_state:
         Enable the exact steady-state early-exit (see
         :mod:`repro.model.steadystate`).  Only engages on full-loop
         analyses of eligible nests; also result-identical.
-    sim_jobs:
-        Worker processes for segment-parallel simulation (see
-        :mod:`repro.model.simparallel`).  ``1`` (default) keeps the
-        serial walk; higher values fan independent chunk-run segments
-        across cores with verified, bit-identical merging.  A pure
-        performance knob, kept out of result cache keys.
     """
 
     def __init__(
@@ -217,9 +210,8 @@ class FalseSharingModel:
         mode: str = "invalidate",
         block_steps: int = 4096,
         thread_order: tuple[int, ...] | None = None,
-        engine: str = "auto",
+        engine: str = "fast",
         steady_state: bool = True,
-        sim_jobs: int = 1,
     ) -> None:
         self.machine = machine
         self.mode = mode
@@ -227,12 +219,12 @@ class FalseSharingModel:
         #: Optional within-step thread processing order (ablation knob;
         #: the lockstep model's default is ascending thread id).
         self.thread_order = thread_order
-        resolve_engine(engine, mode, 1)  # validate the knob eagerly
+        if engine not in ENGINES:
+            raise ModelError(
+                f"unknown detector engine {engine!r}; use one of {ENGINES}"
+            )
         self.engine = engine
         self.steady_state = steady_state
-        if sim_jobs < 1:
-            raise ModelError(f"sim_jobs must be >= 1, got {sim_jobs}")
-        self.sim_jobs = sim_jobs
 
     def analyze(
         self,
@@ -245,7 +237,6 @@ class FalseSharingModel:
         budget: Budget | None = None,
         engine: str | None = None,
         steady_state: bool | None = None,
-        sim_jobs: int | None = None,
     ) -> FSModelResult:
         """Run the full FS analysis.
 
@@ -279,8 +270,6 @@ class FalseSharingModel:
             Per-call override of the model's detector engine knob.
         steady_state:
             Per-call override of the steady-state early-exit flag.
-        sim_jobs:
-            Per-call override of the segment-parallel worker count.
 
         Notes
         -----
@@ -309,7 +298,6 @@ class FalseSharingModel:
                 nest, num_threads, max_chunk_runs, record_series, space,
                 budget,
                 engine=self.engine if engine is None else engine,
-                sim_jobs=self.sim_jobs if sim_jobs is None else sim_jobs,
                 steady_state=(
                     self.steady_state if steady_state is None else steady_state
                 ),
@@ -328,9 +316,8 @@ class FalseSharingModel:
         record_series: bool,
         space: AddressSpace | None,
         budget: Budget | None = None,
-        engine: str = "auto",
+        engine: str = "fast",
         steady_state: bool = True,
-        sim_jobs: int = 1,
     ) -> FSModelResult:
         t0 = time.perf_counter()
         gen = OwnershipListGenerator(
@@ -346,17 +333,8 @@ class FalseSharingModel:
         max_steps: int | None = None
         if max_chunk_runs is not None:
             max_steps = max_chunk_runs * steps_per_run
-        limit_steps = gen.enum.max_steps
-        if max_steps is not None:
-            limit_steps = min(limit_steps, max_steps)
-        # Trace-size hint for the "auto" crossover: tiny traces skip
-        # vectorization overhead and run on the reference path.
-        approx_accesses = limit_steps * len(gen.refs) * num_threads
-        resolved_engine = resolve_engine(
-            engine, self.mode, num_threads, accesses=approx_accesses
-        )
         detector = make_detector(
-            resolved_engine,
+            engine,
             num_threads,
             self.machine.model_stack_lines,
             mode=self.mode,
@@ -382,22 +360,6 @@ class FalseSharingModel:
                 )
         if steady_runner is not None:
             runs_simulated, runs_extrapolated, series = steady_runner.run()
-        elif sim_jobs > 1 and segment_eligible(
-            gen, detector.stack_lines, sim_jobs, limit_steps
-        ):
-            # Segment-parallel simulation: fan independent chunk-run
-            # segments across worker processes, splice verified results
-            # back bit-identically (see repro.model.simparallel).
-            series = simulate_segmented(
-                gen,
-                detector,
-                sim_jobs=sim_jobs,
-                engine=resolved_engine,
-                thread_order=self.thread_order,
-                max_steps=max_steps,
-                record_series=record_series,
-                budget=budget,
-            )
         elif record_series:
             # Align block emission to chunk-run boundaries so cumulative
             # counts are sampled exactly at run ends.
@@ -444,7 +406,7 @@ class FalseSharingModel:
                 "detector_accesses_per_second",
                 "detector throughput of the last analysis (incl. "
                 "extrapolated accesses), by engine",
-            ).labels(kernel=nest.name, engine=resolved_engine).set(
+            ).labels(kernel=nest.name, engine=engine).set(
                 stats.accesses / elapsed
             )
         result = FSModelResult(
@@ -467,7 +429,7 @@ class FalseSharingModel:
             fidelity=(
                 "exact-steady-state" if runs_extrapolated > 0 else "exact"
             ),
-            engine=resolved_engine,
+            engine=engine,
             runs_simulated=runs_simulated,
             runs_extrapolated=runs_extrapolated,
         )
@@ -475,7 +437,7 @@ class FalseSharingModel:
             "FS analysis %s T=%d chunk=%d: %d cases in %d steps "
             "(%.3fs, engine=%s, %d runs extrapolated)",
             nest.name, num_threads, ispace.chunk, stats.fs_cases,
-            stats.steps, elapsed, resolved_engine, runs_extrapolated,
+            stats.steps, elapsed, engine, runs_extrapolated,
         )
         return result
 

@@ -178,9 +178,8 @@ def evaluate_point(
     predictor_runs: int = 8,
     mode: str = "invalidate",
     budget: Budget | None = None,
-    detector_engine: str = "auto",
+    detector_engine: str = "fast",
     steady_state: bool = True,
-    sim_jobs: int = 1,
 ) -> SweepPoint:
     """Evaluate one (threads, chunk) configuration.
 
@@ -191,8 +190,8 @@ def evaluate_point(
     the predictor samples a fixed prefix of chunk runs, not a random
     subset.
 
-    ``detector_engine``, ``steady_state`` and ``sim_jobs`` select the
-    detector implementation (see :class:`FalseSharingModel`).  All such knobs are
+    ``detector_engine`` and ``steady_state`` select the detector
+    implementation (see :class:`FalseSharingModel`).  Both knobs are
     *result-invariant* — every engine produces bit-identical counters —
     so they deliberately do **not** participate in the engine cache key
     (:meth:`WhatIfSweep.point_jobs` puts them in the job payload, not
@@ -207,7 +206,6 @@ def evaluate_point(
     """
     model = FalseSharingModel(
         machine, mode=mode, engine=detector_engine, steady_state=steady_state,
-        sim_jobs=sim_jobs,
     )
     total_model = TotalCostModel(machine)
     candidate = nest.with_chunk(chunk)
@@ -261,9 +259,8 @@ def run_point_job(job) -> dict:
         # results are engine-invariant, so cache keys must not fork on
         # them — a landscape computed with the fast path serves a
         # reference-engine re-run and vice versa.
-        detector_engine=str(job.payload.get("detector_engine", "auto")),
+        detector_engine=str(job.payload.get("detector_engine", "fast")),
         steady_state=bool(job.payload.get("steady_state", True)),
-        sim_jobs=int(job.payload.get("sim_jobs", 1)),
     )
     return point.to_dict()
 
@@ -280,14 +277,11 @@ class WhatIfSweep:
     predictor_runs:
         Chunk runs sampled per point in predictor mode.
     detector_engine:
-        Detector engine per point: ``"auto"`` (default), ``"jit"``,
-        ``"fast"`` or ``"reference"``.  Result-invariant, so it never
-        enters the engine cache key.
+        Detector engine per point: ``"fast"`` (default) or
+        ``"reference"``.  Result-invariant, so it never enters the
+        engine cache key.
     steady_state:
         Enable the exact steady-state early exit (default ``True``).
-    sim_jobs:
-        Segment-parallel workers per point (default ``1``).  Also
-        result-invariant and payload-only.
     """
 
     def __init__(
@@ -296,19 +290,17 @@ class WhatIfSweep:
         use_predictor: bool = True,
         predictor_runs: int = 8,
         mode: str = "invalidate",
-        detector_engine: str = "auto",
+        detector_engine: str = "fast",
         steady_state: bool = True,
-        sim_jobs: int = 1,
     ) -> None:
         self.machine = machine
         self.use_predictor = use_predictor
         self.predictor_runs = predictor_runs
         self.detector_engine = detector_engine
         self.steady_state = steady_state
-        self.sim_jobs = sim_jobs
         self.model = FalseSharingModel(
             machine, mode=mode, engine=detector_engine,
-            steady_state=steady_state, sim_jobs=sim_jobs,
+            steady_state=steady_state,
         )
         self.total_model = TotalCostModel(machine)
 
@@ -327,7 +319,6 @@ class WhatIfSweep:
             budget=budget,
             detector_engine=self.detector_engine,
             steady_state=self.steady_state,
-            sim_jobs=self.sim_jobs,
         )
 
     def _feasible(
@@ -378,8 +369,8 @@ class WhatIfSweep:
 
         digest = nest_digest(nest)
         machine_key = self.machine.to_key_dict()
-        # detector_engine / steady_state / sim_jobs stay OUT of the
-        # spec (and therefore out of the cache key): all engines are
+        # detector_engine / steady_state stay OUT of the spec (and
+        # therefore out of the cache key): both engines are
         # result-identical, so forking the key on them would only
         # defeat the result store.
         payload = {
@@ -387,7 +378,6 @@ class WhatIfSweep:
             "nest": nest,
             "detector_engine": self.detector_engine,
             "steady_state": self.steady_state,
-            "sim_jobs": self.sim_jobs,
         }
         budget_key = budget.to_key_dict() if budget is not None else {}
         jobs = []

@@ -360,55 +360,6 @@ def _check_crash_recovery() -> str:
             "idempotently; poison jobs quarantine as REPRO-E105")
 
 
-def _check_jit_tier() -> str:
-    """The JIT engine tier: compiles, agrees with fast, demotes cleanly.
-
-    On installations without numba this *reports* the guarded-import
-    fallback instead of failing — the no-dependency path is a supported
-    configuration, and ``engine="jit"`` must resolve to ``"fast"``.
-    """
-    from repro.model.fastdetect import make_detector, resolve_engine
-    from repro.model.jitdetect import jit_available, warmup_jit
-
-    if not jit_available():
-        resolved = resolve_engine("jit", "invalidate", 4)
-        if resolved != "fast":
-            raise AssertionError(
-                f"without numba, engine='jit' must resolve to 'fast', "
-                f"got {resolved!r}"
-            )
-        return "skipped — numba not installed (jit resolves to fast)"
-    compile_s = warmup_jit()
-    if compile_s is None:
-        raise AssertionError(
-            "numba importable but the trivial kernel did not compile "
-            "(REPRO-M104 demotion path engaged)"
-        )
-    # jit ≡ fast on a smoke trace spanning hits, misses and evictions.
-    jit_det = make_detector("jit", 4, 8, mode="invalidate")
-    fast_det = make_detector("fast", 4, 8, mode="invalidate")
-    import numpy as np
-
-    rows = np.arange(400, dtype=np.int64).reshape(100, 4) % 13
-    block = tuple((rows + t) % 13 for t in range(4))
-    writes = np.array([True, False, True, False])
-    jit_det.process_block(block, writes)
-    fast_det.process_block(block, writes)
-    for name in type(jit_det.stats)._SCALARS:
-        if getattr(jit_det.stats, name) != getattr(fast_det.stats, name):
-            raise AssertionError(
-                f"jit/fast disagree on {name}: "
-                f"{getattr(jit_det.stats, name)} != "
-                f"{getattr(fast_det.stats, name)}"
-            )
-    if jit_det.state_fingerprint() != fast_det.state_fingerprint():
-        raise AssertionError("jit/fast end states differ on smoke trace")
-    return (
-        f"kernel compiled in {compile_s:.2f}s; jit ≡ fast on the smoke "
-        "trace (counters + end state)"
-    )
-
-
 _CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("error-codes", _check_error_codes),
     ("taxonomy-compat", _check_taxonomy),
@@ -419,7 +370,6 @@ _CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("partial-results", _check_partial),
     ("service-plumbing", _check_service),
     ("crash-recovery", _check_crash_recovery),
-    ("jit-tier", _check_jit_tier),
 )
 
 

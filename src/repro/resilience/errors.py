@@ -288,10 +288,6 @@ class ModelError(ReproError, ValueError):
 register_code("REPRO-M101", "loop nest has no modelable array accesses")
 register_code("REPRO-M102", "symbolic loop bounds unsupported by this analysis")
 register_code("REPRO-M103", "regression fit is degenerate (no sampled runs)")
-register_code(
-    "REPRO-M104",
-    "jit detector kernel failed to compile; demoted to the fast engine",
-)
 
 
 class CostModelError(ModelError):

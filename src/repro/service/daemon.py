@@ -88,12 +88,6 @@ class ServeConfig:
     #: Queued-job ceiling before admission sheds with 503 ``REPRO-E106``
     #: (0 = unbounded).
     max_queue_depth: int = 0
-    #: Detector engine for every sweep cell ("auto" prefers the JIT
-    #: tier when numba is installed).  Result-invariant perf knob.
-    detector_engine: str = "auto"
-    #: Segment-parallel simulation workers per analysis (1 = serial;
-    #: result-invariant, see repro.model.simparallel).
-    sim_jobs: int = 1
 
     def tenants(self) -> TenantRegistry:
         if self.tenants_file:
@@ -137,8 +131,6 @@ def build_queue(config: ServeConfig) -> JobQueue:
         health=HealthMonitor(),
         quarantine_after=config.quarantine_after,
         max_queue_depth=config.max_queue_depth,
-        detector_engine=config.detector_engine,
-        sim_jobs=config.sim_jobs,
     )
 
 

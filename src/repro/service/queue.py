@@ -453,8 +453,6 @@ class JobQueue:
         max_queue_depth: int = 0,
         heartbeat_timeout_s: float = 30.0,
         supervise_interval_s: float = 0.2,
-        detector_engine: str = "auto",
-        sim_jobs: int = 1,
     ) -> None:
         if concurrency < 1:
             raise UsageError("concurrency must be >= 1")
@@ -478,12 +476,6 @@ class JobQueue:
         self.max_queue_depth = max_queue_depth
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.supervise_interval_s = supervise_interval_s
-        #: Detector engine + segment-parallel workers for every sweep
-        #: the queue evaluates (pure perf knobs; result-invariant and
-        #: excluded from cache keys, so tenants share cached cells
-        #: regardless of the serving configuration).
-        self.detector_engine = detector_engine
-        self.sim_jobs = sim_jobs
         if health is None:
             # A standalone queue (no daemon boot phase) is ready the
             # moment it exists; the daemon passes its own monitor and
@@ -885,8 +877,6 @@ class JobQueue:
             use_predictor=not request.exact,
             predictor_runs=request.predictor_runs,
             mode=request.mode,
-            detector_engine=self.detector_engine,
-            sim_jobs=self.sim_jobs,
         )
 
     def _update_depth_locked(self) -> None:

@@ -78,6 +78,60 @@ class TestPaperMapping:
             )
 
 
+class TestCliInvocations:
+    """Every ``repro-fs <command> … --flag [value]`` in the docs uses a
+    flag that command defines, with a value from its ``choices``."""
+
+    @staticmethod
+    def _invocations():
+        """(doc, command, argument tokens) per ``repro-fs`` mention; a
+        backslash continuation joins the next line, and a backtick,
+        pipe, redirect, comment or shell separator ends the command."""
+        for doc in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+            text = doc.read_text(encoding="utf-8").replace("\\\n", " ")
+            for m in re.finditer(r"repro-fs[ \t]+([^\n`|;&#>)]*)", text):
+                tokens = m.group(1).split()
+                if tokens:
+                    yield doc.name, tokens[0], tokens[1:]
+
+    def test_flags_and_values_exist(self):
+        from repro.cli import build_parser
+
+        commands = build_parser()._subparsers._group_actions[0].choices
+        seen = 0
+        for doc, command, args in self._invocations():
+            assert command in commands, f"{doc}: no command {command!r}"
+            options = commands[command]._option_string_actions
+            for i, token in enumerate(args):
+                if not token.startswith("-"):
+                    continue
+                flag, _, value = token.partition("=")
+                assert flag in options, (
+                    f"{doc}: `repro-fs {command}` has no flag {flag}"
+                )
+                action = options[flag]
+                if action.choices is None or action.nargs == 0:
+                    continue
+                if not value and i + 1 < len(args):
+                    value = args[i + 1]
+                assert not value or value in action.choices, (
+                    f"{doc}: `repro-fs {command} {flag} {value}` — "
+                    f"choose from {sorted(action.choices)}"
+                )
+            seen += 1
+        assert seen > 50  # the scan found the docs' command examples
+
+
+class TestErrorCodeTable:
+    def test_resilience_table_lists_exactly_the_registry(self):
+        from repro.resilience.errors import ERROR_CODES
+
+        text = (REPO / "docs" / "RESILIENCE.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| (REPRO-[A-Z]\d{3}) +\|", text, flags=re.M)
+        assert len(rows) == len(set(rows)), "duplicate error-code rows"
+        assert set(rows) == set(ERROR_CODES)
+
+
 class TestPackagingMetadata:
     def test_pyproject_points_at_cli(self):
         text = (REPO / "pyproject.toml").read_text(encoding="utf-8")

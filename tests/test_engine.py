@@ -251,6 +251,23 @@ class TestWorkerPoolFailures:
         # 1 try + 1 retry, both crashed, both counted.
         assert _counter("engine_worker_crashes_total") >= crashes_before + 2
 
+    def test_crash_beside_a_running_job_fails_only_the_crasher(self):
+        # One worker death breaks every in-flight future at once; the
+        # job running beside the crasher must not pay for that death.
+        crashes_before = _counter("engine_worker_crashes_total")
+        sleeper = Job("engine.test.sleep", {"seconds": 0.5})
+        crash = Job("engine.test.crash", {"code": 1})
+        pool = WorkerPool(workers=2, retries=0, backoff_s=0.0)
+        by_key = {o.job.key(): o for o in pool.run([sleeper, crash])}
+        slept = by_key[sleeper.key()]
+        assert slept.ok, slept.error
+        assert slept.attempts == 1
+        assert slept.retry_history == ()
+        assert by_key[crash.key()].error_code == "REPRO-E102"
+        # One death while both ran, one when the crasher ran alone.
+        crashes = _counter("engine_worker_crashes_total") - crashes_before
+        assert 1 <= crashes <= 2
+
     def test_timeout_kills_hung_job(self):
         hang = Job("engine.test.sleep", {"seconds": 30.0})
         quick = echo_job("q")

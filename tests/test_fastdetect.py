@@ -4,19 +4,16 @@ regime, and the engine knob never leaks into cached identities."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.kernels import dft, heat_diffusion, linear_regression
 from repro.machine import paper_machine, tiny_machine
 from repro.model import (
-    AUTO_REFERENCE_MAX_ACCESSES,
     ENGINES,
     FalseSharingModel,
     FastFSDetector,
     FSDetector,
-    jit_available,
     make_detector,
-    resolve_engine,
 )
 from repro.model.fastdetect import MAX_FAST_THREADS, MIN_FAST_EVENTS
 from repro.resilience.errors import ModelError
@@ -72,62 +69,32 @@ def _random_blocks(rng, T, refs, n_blocks, max_steps, streaming):
 
 class TestEngineResolution:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ModelError):
-            resolve_engine("turbo", "invalidate", 4)
-
-    def test_auto_prefers_fast_when_supported(self):
-        # With numba installed the auto ladder tops out at "jit"
-        # instead; both are the vectorized regime.
-        top = "jit" if jit_available() else "fast"
-        assert resolve_engine("auto", "invalidate", 8) == top
-        assert resolve_engine("auto", "invalidate", MAX_FAST_THREADS) == top
-
-    def test_auto_falls_back_outside_support(self):
-        assert resolve_engine("auto", "literal", 8) == "reference"
-        assert (
-            resolve_engine("auto", "invalidate", MAX_FAST_THREADS + 1)
-            == "reference"
-        )
-
-    def test_auto_crossover_tiny_traces_use_reference(self):
-        """Below the measured crossover, tiny traces skip the
-        vectorized machinery entirely (the 0.8× table-config fix)."""
-        tiny = AUTO_REFERENCE_MAX_ACCESSES - 1
-        big = AUTO_REFERENCE_MAX_ACCESSES
-        assert (
-            resolve_engine("auto", "invalidate", 8, accesses=tiny)
-            == "reference"
-        )
-        top = "jit" if jit_available() else "fast"
-        assert resolve_engine("auto", "invalidate", 8, accesses=big) == top
-        # The hint only informs "auto": explicit choices are honoured.
-        assert (
-            resolve_engine("fast", "invalidate", 8, accesses=tiny) == "fast"
-        )
+        for engine in ("turbo", "auto", "jit"):
+            with pytest.raises(ModelError):
+                make_detector(engine, 4, 16)
 
     def test_explicit_choice_honoured(self):
-        assert resolve_engine("reference", "invalidate", 4) == "reference"
-        assert resolve_engine("fast", "literal", 4) == "fast"
-
-    def test_jit_resolves_to_fast_without_numba(self):
-        resolved = resolve_engine("jit", "invalidate", 4)
-        if jit_available():
-            assert resolved == "jit"
-        else:
-            assert resolved == "fast"
+        # Outside the vectorized core's support the fast detector is
+        # still what "fast" builds: it falls back block by block.
+        assert isinstance(
+            make_detector("fast", 4, 16, mode="literal"), FastFSDetector
+        )
+        assert isinstance(
+            make_detector("fast", MAX_FAST_THREADS + 1, 16), FastFSDetector
+        )
 
     def test_make_detector_classes(self):
         assert isinstance(make_detector("fast", 4, 16), FastFSDetector)
         ref = make_detector("reference", 4, 16)
         assert type(ref) is FSDetector
-        assert isinstance(make_detector("auto", 4, 16), FastFSDetector)
 
     def test_engines_constant(self):
-        assert set(ENGINES) == {"auto", "jit", "fast", "reference"}
+        assert ENGINES == ("fast", "reference")
 
     def test_model_rejects_bad_engine(self):
-        with pytest.raises(ModelError):
-            FalseSharingModel(tiny_machine(), engine="warp")
+        for engine in ("warp", "auto", "jit"):
+            with pytest.raises(ModelError):
+                FalseSharingModel(tiny_machine(), engine=engine)
 
 
 class TestBlockEquivalence:
@@ -139,9 +106,15 @@ class TestBlockEquivalence:
         cap=st.sampled_from([4, 8, 32]),
         refs=st.integers(1, 3),
         streaming=st.booleans(),
+        mode=st.sampled_from(["invalidate", "literal"]),
     )
+    # Beyond the 63-bit holder masks: every block takes the fallback.
+    @example(seed=7, T=MAX_FAST_THREADS + 1, cap=8, refs=2, streaming=True,
+             mode="invalidate")
     @settings(max_examples=40, deadline=None)
-    def test_random_trace_equivalence(self, seed, T, cap, refs, streaming):
+    def test_random_trace_equivalence(
+        self, seed, T, cap, refs, streaming, mode
+    ):
         rng = np.random.default_rng(seed)
         writes = rng.random(refs) < 0.4
         order = list(range(T))
@@ -150,8 +123,10 @@ class TestBlockEquivalence:
             rng, T, refs, n_blocks=int(rng.integers(1, 4)),
             max_steps=120, streaming=streaming,
         )
-        ref = _run_blocks(FSDetector(T, cap), blocks, writes, order)
-        fast = _run_blocks(FastFSDetector(T, cap), blocks, writes, order)
+        ref = _run_blocks(FSDetector(T, cap, mode), blocks, writes, order)
+        fast = _run_blocks(
+            FastFSDetector(T, cap, mode), blocks, writes, order
+        )
         assert ref == fast
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -221,8 +196,6 @@ class TestModelLevelEquivalence:
     def test_engines_bit_identical(self, kernel):
         machine = paper_machine()
         engines = ["reference", "fast"]
-        if jit_available():
-            engines.append("jit")  # the third tier joins the matrix
         results = {}
         for engine in engines:
             model = FalseSharingModel(
@@ -246,16 +219,15 @@ class TestModelLevelEquivalence:
             assert ref.per_chunk_run.tolist() == other.per_chunk_run.tolist()
 
     def test_result_reports_resolved_engine(self):
-        # Tiny/table-sized trace: the crossover routes "auto" to the
-        # scalar reference path (no vectorization overhead to pay).
+        # The default is the fast detector on every trace size; the
+        # reference runs only when pinned.
         machine = tiny_machine()
         k = heat_diffusion(rows=4, cols=258)
-        r = FalseSharingModel(machine, engine="auto").analyze(k.nest, 4)
-        assert r.engine == "reference"
-        # Above-crossover grid: "auto" stays on the vectorized tiers.
-        big = heat_diffusion(rows=8, cols=4098)
-        r2 = FalseSharingModel(machine, engine="auto").analyze(big.nest, 4)
-        assert r2.engine == ("jit" if jit_available() else "fast")
+        r = FalseSharingModel(machine).analyze(k.nest, 4)
+        assert r.engine == "fast"
+        r2 = FalseSharingModel(machine, engine="reference").analyze(k.nest, 4)
+        assert r2.engine == "reference"
+        assert r.fs_cases == r2.fs_cases
 
 
 class TestCacheKeyInvariance:
@@ -276,17 +248,12 @@ class TestCacheKeyInvariance:
         for kwargs in (
             dict(detector_engine="fast"),
             dict(detector_engine="reference"),
-            dict(detector_engine="jit"),
             dict(steady_state=False),
-            dict(sim_jobs=4),
             dict(detector_engine="reference", steady_state=False),
-            dict(detector_engine="jit", sim_jobs=8),
         ):
             keys, jobs = self._keys(**kwargs)
             assert keys == base, kwargs
             for job in jobs:  # knobs travel in the (unhashed) payload
                 assert "detector_engine" not in job.spec
                 assert "steady_state" not in job.spec
-                assert "sim_jobs" not in job.spec
                 assert "detector_engine" in job.payload
-                assert "sim_jobs" in job.payload

@@ -48,12 +48,11 @@ class TestRunnerMain:
         results = {"run_table1": fake_results()[0], "run_fig6": fake_results()[1]}
 
         class FakeSuite:
-            def __init__(self, scale, detector_engine="auto",
-                         steady_state=True, sim_jobs=1):
+            def __init__(self, scale, detector_engine="fast",
+                         steady_state=True):
                 assert scale in ("tiny", "full")
-                assert detector_engine in ("auto", "jit", "fast", "reference")
+                assert detector_engine in ("fast", "reference")
                 assert isinstance(steady_state, bool)
-                assert isinstance(sim_jobs, int) and sim_jobs >= 1
 
             def run_driver(self, name):
                 if name == fail_driver:
