@@ -32,7 +32,7 @@ from repro.model.detector import FSDetector, FSStats
 from repro.model.fastdetect import ENGINES, make_detector
 from repro.model.ownership import OwnershipListGenerator
 from repro.model.schedule import IterationSpace
-from repro.model.steadystate import SteadyStateRunner, compute_shift_profile
+from repro.model.steadystate import SteadyStateRunner, steady_state_runner
 from repro.obs import get_registry, span
 from repro.resilience.budget import Budget, estimate_cost
 from repro.resilience.errors import ModelError
@@ -201,7 +201,8 @@ class FalseSharingModel:
     steady_state:
         Enable the exact steady-state early-exit (see
         :mod:`repro.model.steadystate`).  Only engages on full-loop
-        analyses of eligible nests; also result-identical.
+        analyses of eligible nests that are long enough and evict
+        lines, where it can extrapolate; also result-identical.
     """
 
     def __init__(
@@ -294,7 +295,7 @@ class FalseSharingModel:
             "model.analyze", kernel=nest.name, threads=num_threads,
             mode=self.mode,
         ) as sp:
-            result = self._analyze(
+            result, steady = self._analyze(
                 nest, num_threads, max_chunk_runs, record_series, space,
                 budget,
                 engine=self.engine if engine is None else engine,
@@ -305,6 +306,7 @@ class FalseSharingModel:
             sp.set(
                 chunk=result.chunk, fs_cases=result.fs_cases,
                 engine=result.engine, fidelity=result.fidelity,
+                steady_state=steady,
             )
         return result
 
@@ -318,7 +320,10 @@ class FalseSharingModel:
         budget: Budget | None = None,
         engine: str = "fast",
         steady_state: bool = True,
-    ) -> FSModelResult:
+    ) -> tuple[FSModelResult, str]:
+        """The analysis, and why the steady-state runner did or did not
+        run: ``"off"``, ``"prefix"`` or :func:`steady_state_runner`'s
+        reason."""
         t0 = time.perf_counter()
         gen = OwnershipListGenerator(
             nest,
@@ -344,20 +349,20 @@ class FalseSharingModel:
         runs_extrapolated = 0
         series: list[int] | None = None
         steady_runner: SteadyStateRunner | None = None
-        if steady_state and max_chunk_runs is None:
-            # The early exit needs the whole loop (a truncated prefix is
-            # the predictor's job) and an eligible shift structure.
-            profile = compute_shift_profile(gen, num_threads)
-            if profile is not None:
-                steady_runner = SteadyStateRunner(
-                    gen,
-                    detector,
-                    profile,
-                    thread_order=self.thread_order,
-                    budget=budget,
-                    record_series=record_series,
-                    block_steps=self.block_steps,
-                )
+        if not steady_state:
+            steady = "off"
+        elif max_chunk_runs is not None:
+            # A truncated prefix is the predictor's job.
+            steady = "prefix"
+        else:
+            steady_runner, steady = steady_state_runner(
+                gen,
+                detector,
+                thread_order=self.thread_order,
+                budget=budget,
+                record_series=record_series,
+                block_steps=self.block_steps,
+            )
         if steady_runner is not None:
             runs_simulated, runs_extrapolated, series = steady_runner.run()
         elif record_series:
@@ -439,7 +444,7 @@ class FalseSharingModel:
             nest.name, num_threads, ispace.chunk, stats.fs_cases,
             stats.steps, elapsed, engine, runs_extrapolated,
         )
-        return result
+        return result, steady
 
     def analyze_cycle_rate(
         self,

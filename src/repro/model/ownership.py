@@ -81,7 +81,9 @@ class OwnershipListGenerator:
         self.write_mask: np.ndarray = np.array(
             [r.is_write for r in self.refs], dtype=bool
         )
-        self._addr_exprs = [self.space.address_expr(r) for r in self.refs]
+        #: affine byte-address function of each reference, aligned with
+        #: ``refs``
+        self.addr_exprs = [self.space.address_expr(r) for r in self.refs]
 
     @property
     def iteration_space(self) -> IterationSpace:
@@ -97,7 +99,7 @@ class OwnershipListGenerator:
             return np.empty((0, len(self.refs)), dtype=np.int64)
         n = len(next(iter(env.values())))
         out = np.empty((n, len(self.refs)), dtype=np.int64)
-        for k, expr in enumerate(self._addr_exprs):
+        for k, expr in enumerate(self.addr_exprs):
             out[:, k] = expr.eval_vectorized(env, length=n)
         return out
 

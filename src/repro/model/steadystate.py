@@ -14,7 +14,7 @@ remainder is extrapolated in closed form and the detector state is
 advanced by renaming lines (:meth:`~repro.model.detector.FSDetector.
 shift_lines`), which commutes with detector transitions.
 
-The three pieces:
+The four pieces:
 
 :class:`ShiftProfile`
     Compile-time check that the nest admits a uniform per-run shift at
@@ -26,6 +26,9 @@ The three pieces:
     Builds the profile from an ownership generator, or returns ``None``
     when the loop does not qualify (the model then falls back to plain
     full simulation — the early exit is strictly opt-in-when-provable).
+:func:`steady_state_runner`
+    The gate: builds the runner only when it can extrapolate at least
+    one chunk run, and otherwise leaves the model to its plain walk.
 :class:`SteadyStateRunner`
     Drives the simulation period by period, fingerprints the canonical
     (shift-normalized) cache state at period boundaries, and on the
@@ -60,6 +63,7 @@ __all__ = [
     "ShiftProfile",
     "SteadyStateRunner",
     "compute_shift_profile",
+    "steady_state_runner",
 ]
 
 #: scalar FSStats fields propagated through window deltas/extrapolation
@@ -86,6 +90,11 @@ class ShiftProfile:
     line_shifts:
         Cache-line shift of each array per period, aligned with
         ``array_names``.
+    footprint_lines:
+        Upper bound on the distinct cache lines the whole nest touches:
+        per referenced array, the span of lines its references can
+        reach over the (rectangular) iteration space.  At most the
+        arrays' own line counts when every subscript stays in bounds.
     """
 
     period_runs: int
@@ -95,6 +104,7 @@ class ShiftProfile:
     array_start_lines: tuple[int, ...]
     array_end_lines: tuple[int, ...]
     line_shifts: tuple[int, ...]
+    footprint_lines: int
 
     def classify(self, line: int) -> int:
         """Index of the array owning ``line`` (−1 when unplaced)."""
@@ -203,9 +213,10 @@ def compute_shift_profile(
       (every chunk run is *full*, so consecutive runs are exact
       translates — a ragged tail breaks the isomorphism);
     - every reference to a given array has the same parallel-loop
-      coefficient (one uniform byte shift per array per run);
-    - at least ``3 × period`` runs per execution (two windows to detect
-      the repeat, at least one to make skipping worthwhile).
+      coefficient (one uniform byte shift per array per run).
+
+    Whether the loop is long enough to pay is :func:`steady_state_runner`'s
+    decision, not the profile's.
     """
     space = gen.iteration_space
     T = num_threads
@@ -218,23 +229,36 @@ def compute_shift_profile(
     runs_per_exec = ptrip // (T * c)
     ploop = gen.enum.parallel_loop
     line_size = gen.line_size
+    # Every loop variable's first and last value: the nest is
+    # rectangular, so each reference's address extremes are exact.
+    ends_of = {
+        lp.var: (lp.lower.as_int(), lp.lower.as_int() + (trip - 1) * lp.step)
+        for lp, trip in zip(gen.nest.loops(), gen.nest.trip_counts())
+    }
     # Per-array byte delta per chunk run: the parallel variable's value
     # advances by T·c·step, scaled by the reference's coefficient.
     deltas: dict[str, int] = {}
-    for ref in gen.refs:
-        coeff = gen.space.address_expr(ref).coeff(ploop.var)
-        a = coeff * ploop.step * T * c
+    # Per-array [lowest, highest] byte address its references reach.
+    reach: dict[str, tuple[int, int]] = {}
+    for ref, expr in zip(gen.refs, gen.addr_exprs):
+        a = expr.coeff(ploop.var) * ploop.step * T * c
         name = ref.array.name
         if name in deltas and deltas[name] != a:
             return None  # conflicting strides: no uniform shift
         deltas[name] = a
+        lo = hi = expr.const
+        for var, k in expr.coeffs:
+            first, last = (k * x for x in ends_of[var])
+            lo += min(first, last)
+            hi += max(first, last)
+        if name in reach:
+            lo, hi = min(lo, reach[name][0]), max(hi, reach[name][1])
+        reach[name] = (lo, hi)
     period = 1
     for a in deltas.values():
         if a:
             pa = line_size // math.gcd(line_size, abs(a))
             period = period * pa // math.gcd(period, pa)
-    if runs_per_exec < 3 * period:
-        return None
     placed = sorted(
         gen.space.arrays(), key=lambda arr: gen.space.base(arr.name)
     )
@@ -256,6 +280,9 @@ def compute_shift_profile(
         array_start_lines=tuple(starts),
         array_end_lines=tuple(ends),
         line_shifts=tuple(shifts),
+        footprint_lines=sum(
+            hi // line_size - lo // line_size + 1 for lo, hi in reach.values()
+        ),
     )
 
 
@@ -272,6 +299,10 @@ class _WindowDelta:
 
 class SteadyStateRunner:
     """Period-aware driver for one full-loop analysis (see module docs).
+
+    The model builds it through :func:`steady_state_runner`, whose rule 2
+    guarantees that every execution holds the bulk warm-up block plus
+    the windows detection needs.
 
     Parameters
     ----------
@@ -326,24 +357,20 @@ class SteadyStateRunner:
         batch = min(batch, max(1, profile.runs_per_exec // (8 * p)))
         #: detection-window size in chunk runs (a multiple of the period)
         self.window_runs = batch * p
-        # In the eviction regime (array footprint exceeds the per-thread
-        # stack capacity) the first ~capacity/lines-per-run chunk runs of
-        # every execution are a warm-up: residual lines from the cold
-        # cache (or the previous execution) are still being evicted, so
-        # boundary states cannot be shift-isomorphic yet even though the
-        # stat deltas and stack sizes already look steady.  Estimating
-        # that horizon up front avoids burning fingerprint backoff on
-        # provably-premature attempts; it is purely a scheduling hint —
-        # correctness never depends on it.
-        footprint = sum(
-            e - s + 1
-            for s, e in zip(
-                profile.array_start_lines, profile.array_end_lines
-            )
-        )
+        # When some array shifts, the gate only lets the runner see loops
+        # whose footprint exceeds the per-thread stack capacity (the
+        # eviction regime).  There the first ~capacity/lines-per-run
+        # chunk runs of every execution are a warm-up: residual lines
+        # from the cold cache (or the previous execution) are still being
+        # evicted, so boundary states cannot be shift-isomorphic yet even
+        # though the stat deltas and stack sizes already look steady.
+        # Estimating that horizon up front avoids burning fingerprint
+        # backoff on provably-premature attempts; correctness never
+        # depends on it.
         shift_total = sum(abs(d) for d in profile.line_shifts)
+        #: first window whose boundary is fingerprinted
         self.first_attempt_window = 2
-        if footprint > detector.stack_lines and shift_total > 0:
+        if shift_total > 0:
             warmup_runs = detector.stack_lines * p // shift_total
             self.first_attempt_window = max(
                 2, warmup_runs // self.window_runs + 1
@@ -532,11 +559,9 @@ class SteadyStateRunner:
            footprint saturates);
         2. while both repeat, fingerprint the canonical cache state at
            boundaries with exponential backoff — a kernel whose counters
-           are periodic but whose state never converges (e.g. a
-           footprint that fits the cache, where the LRU wrap position
-           drifts) costs only ``O(log windows)`` hashes; in the eviction
-           regime attempts further wait out the estimated warm-up
-           horizon (see ``first_attempt_window``);
+           are periodic but whose state never converges costs only
+           ``O(log windows)`` hashes; attempts further wait out the
+           estimated warm-up horizon (see ``first_attempt_window``);
         3. each attempt also snapshots the full stat state, so two
            boundaries with equal canonical fingerprints — which prove
            the states are shift-isomorphic — immediately yield the
@@ -553,15 +578,13 @@ class SteadyStateRunner:
         P = self.window_runs
         p = self.profile.period_runs
         stacks = self.detector._stacks
-        r = 0
         # Bulk-simulate the estimated warm-up (minus the two windows the
         # detection chain needs as context) in one big-block call —
         # detection bookkeeping is pointless before isomorphism is even
-        # possible, and bigger blocks amortize the vectorized core.
-        warm = max(self.first_attempt_window - 2, 0) * P
-        if warm and warm + 2 * P <= E:
-            self._simulate_runs(base, 0, warm, series)
-            r = warm
+        # possible, and bigger blocks amortize the vectorized core.  The
+        # gate (rule 2 of ``steady_state_runner``) guarantees it fits.
+        r = (self.first_attempt_window - 2) * P
+        self._simulate_runs(base, 0, r, series)
         prev_scalars: tuple[int, ...] | None = None
         prev_sizes: tuple[int, ...] | None = None
         pending_fp: bytes | None = None
@@ -658,3 +681,64 @@ class SteadyStateRunner:
                 hits=self.steady_hits,
             )
         return self.runs_simulated, self.runs_extrapolated, series
+
+
+def steady_state_runner(
+    gen: OwnershipListGenerator,
+    detector: FSDetector,
+    thread_order: Sequence[int] | None = None,
+    budget: Budget | None = None,
+    record_series: bool = False,
+    block_steps: int = 4096,
+) -> tuple[SteadyStateRunner | None, str]:
+    """The runner for a full-loop analysis, or ``None`` where it cannot win.
+
+    Returns the runner (``None`` tells the model to walk plain blocks)
+    and why: ``"ran"``, ``"ineligible"`` (no shift profile),
+    ``"no-eviction"`` (rule 1) or ``"too-short"`` (rule 2).  Each rule
+    sets a minimum chunk-run count per execution — unbounded for rule 1
+    — below which the runner provably extrapolates nothing, so a decline
+    changes no result, counter or ``runs_extrapolated`` value.
+
+    **Rule 1: no eviction → never.**  Applies when some referenced array
+    shifts by ``d_i != 0`` lines per period and the nest's footprint
+    fits the per-thread stack (``footprint_lines <= stack_lines``).
+    Then no line is ever evicted, so a line leaves a thread's stack only
+    when another thread writes it, and that thread then holds it: the
+    union ``U`` of held lines only grows.  Equal canonical fingerprints
+    at boundaries ``b < b'``, ``k`` periods apart, would need
+    ``U_i(b') = U_i(b) + k·d_i``.  Since ``U_i(b) ⊆ U_i(b')`` and both
+    sets are the same size, they are equal, and a finite non-empty set
+    cannot equal its own non-zero translate.  (``U_i`` is non-empty from
+    the first window on: every step references array ``i``.)
+
+    **Rule 2: too short → never.**  The first fingerprint waits for
+    window ``first_attempt_window``, a match needs one more window, and
+    extrapolation then needs at least one whole repeat unit, which is at
+    least one window.  An execution shorter than
+    ``(first_attempt_window + 2) · window_runs`` chunk runs ends first.
+
+    The window size and warm-up horizon are the runner's own, so the
+    gate and the walk it guards cannot disagree about them.
+    """
+    profile = compute_shift_profile(gen, gen.num_threads)
+    if profile is None:
+        return None, "ineligible"
+    if (
+        any(profile.line_shifts)
+        and profile.footprint_lines <= detector.stack_lines
+    ):
+        return None, "no-eviction"
+    runner = SteadyStateRunner(
+        gen,
+        detector,
+        profile,
+        thread_order=thread_order,
+        budget=budget,
+        record_series=record_series,
+        block_steps=block_steps,
+    )
+    min_runs = (runner.first_attempt_window + 2) * runner.window_runs
+    if profile.runs_per_exec < min_runs:
+        return None, "too-short"
+    return runner, "ran"

@@ -1,10 +1,12 @@
 """Documentation integrity: the docs must match the repository.
 
 These tests keep README/DESIGN/docs honest: referenced files exist,
-the experiment index points at real bench modules, and the README's
-quickstart snippet actually runs.
+the experiment index points at real bench modules, the README's
+quickstart snippet actually runs, and quoted detector timings are the
+committed ``BENCH_model.json``'s.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -142,3 +144,93 @@ class TestPackagingMetadata:
 
         text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
         assert f'version = "{repro.__version__}"' in text
+
+
+class TestBenchModelQuotes:
+    """Detector figures in the docs are read from ``BENCH_model.json``,
+    not from memory."""
+
+    #: PERFORMANCE.md table column → JSON field, per row kind
+    _MICRO_FIELDS = {
+        "reference": "reference_macc_per_s",
+        "default": "fast_macc_per_s",
+        "speedup": "speedup",
+    }
+    _ROW_FIELDS = {
+        "reference": "reference_s",
+        "plain fast": "plain_s",
+        "default": "optimized_s",
+        "speedup": "speedup",
+    }
+
+    @staticmethod
+    def _bench() -> dict:
+        return json.loads((REPO / "BENCH_model.json").read_text(encoding="utf-8"))
+
+    @staticmethod
+    def _numbers(cell: str) -> list[str]:
+        return [n.replace(",", "") for n in re.findall(r"\d[\d,]*(?:\.\d+)?", cell)]
+
+    @staticmethod
+    def _quotes(text: str, value: float) -> bool:
+        """``text`` is ``value`` to the decimals ``text`` shows."""
+        decimals = len(text.partition(".")[2])
+        return float(text) == round(value, decimals)
+
+    def _table(self) -> tuple[list[str], list[list[str]]]:
+        """Header and rows of the table that follows the sentence naming
+        the committed ``BENCH_model.json``."""
+        text = (REPO / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
+        after = text.split("Numbers from the committed `BENCH_model.json`", 1)[1]
+        lines = after.splitlines()
+        start = next(i for i, ln in enumerate(lines) if ln.startswith("|"))
+        table = []
+        for ln in lines[start:]:
+            if not ln.startswith("|"):
+                break
+            table.append([c.strip() for c in ln.strip("|").split("|")])
+        header, _, *rows = table
+        return header, rows
+
+    def test_performance_table_matches_json(self):
+        bench = self._bench()
+        header, rows = self._table()
+        expected = (
+            [("micro", bench["micro"])]
+            + [("row", r) for r in bench["tables"]]
+            + [("row", r) for r in bench["large_grid"]]
+        )
+        assert len(rows) == len(expected)
+        for cells, (kind, want) in zip(rows, expected):
+            label = cells[0]
+            fields = self._MICRO_FIELDS if kind == "micro" else self._ROW_FIELDS
+            for name, cell in zip(header[1:], cells[1:]):
+                if name in fields:
+                    (quoted,) = self._numbers(cell)
+                    assert self._quotes(quoted, want[fields[name]]), (
+                        f"PERFORMANCE.md {label!r} {name}: {cell!r} is not "
+                        f"BENCH_model.json's {want[fields[name]]}"
+                    )
+                else:
+                    assert not self._numbers(cell), (label, name, cell)
+            if kind == "row":
+                assert f"T={want['threads']}" in label
+                assert f"chunk={want['chunk']}" in label
+                accesses = re.search(r"\(([\d,]+) accesses\)", label)
+                if accesses:
+                    assert self._numbers(accesses.group(1)) == [str(want["accesses"])]
+
+    @pytest.mark.parametrize("doc", ["README.md", "docs/PERFORMANCE.md"])
+    def test_quoted_speedups_match_json(self, doc):
+        summary = self._bench()["summary"]
+        text = " ".join((REPO / doc).read_text(encoding="utf-8").split())
+        micro = re.findall(r"(\d+(?:\.\d+)?)× detector throughput", text)
+        large = re.findall(
+            r"(\d+(?:\.\d+)?)–(\d+(?:\.\d+)?)× end[- ]to[- ]end", text
+        )
+        assert micro and large, f"{doc} no longer quotes the detector figures"
+        assert all(self._quotes(m, summary["micro_speedup"]) for m in micro)
+        speedups = summary["large_grid_speedups"]
+        for lo, hi in large:
+            assert self._quotes(lo, min(speedups))
+            assert self._quotes(hi, max(speedups))

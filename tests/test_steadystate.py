@@ -11,12 +11,17 @@ extrapolation.  These tests pin the three claims that make it safe:
    self-consistent between its scalar and vectorized forms;
 3. the ``exact-steady-state`` fidelity tag propagates — through the
    model result and the resilience ladder — and normalizes to the
-   exact tier.
+   exact tier;
+4. the gate in front of the runner declines only analyses on which the
+   runner would extrapolate nothing, and the ``model.analyze`` span
+   says why the runner did or did not run.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.kernels import dft, heat_diffusion, linear_regression
 from repro.machine import paper_machine, tiny_machine
@@ -24,13 +29,18 @@ from repro.model import (
     FalseSharingModel,
     FSDetector,
     OwnershipListGenerator,
+    SteadyStateRunner,
     compute_shift_profile,
+    make_detector,
 )
+from repro.model.steadystate import steady_state_runner
+from repro.obs import get_tracer
 from repro.resilience.errors import ModelError
 from repro.resilience.ladder import (
     analyze_with_ladder,
     fidelity_tier,
 )
+from tests.conftest import make_copy_nest, make_nested_nest
 
 _SCALARS = (
     "fs_cases", "fs_read_cases", "fs_write_cases", "accesses", "misses",
@@ -262,3 +272,132 @@ class TestFidelityPropagation:
         assert fidelity_tier(outcome.fidelity) == "exact"
         assert not outcome.degraded
         assert outcome.detail.runs_extrapolated > 0
+
+
+#: The gate's three machines: per-thread stacks of 16, 64 and 8,192 lines.
+_GATE_MACHINES = {
+    16: tiny_machine(4, 16),
+    64: tiny_machine(4, 64),
+    8192: paper_machine(),
+}
+
+
+@contextmanager
+def _recorded_spans():
+    tracer = get_tracer()
+    tracer.reset()
+    tracer.enable()
+    try:
+        yield tracer
+    finally:
+        tracer.disable()
+        tracer.reset()
+
+
+def _traced_default(machine, nest, threads, chunk, **kwargs):
+    """The default analysis, its ``steady_state`` span attribute, and
+    whether a ``model.steadystate`` span was emitted."""
+    with _recorded_spans() as tracer:
+        r = FalseSharingModel(machine).analyze(
+            nest, threads, chunk=chunk, **kwargs
+        )
+        events = tracer.events()
+    (analyze,) = [e for e in events if e.name == "model.analyze"]
+    ran = any(e.name == "model.steadystate" for e in events)
+    return r, analyze.args["steady_state"], ran
+
+
+def _gate(machine, nest, threads, chunk):
+    gen = OwnershipListGenerator(
+        nest.with_chunk(chunk), threads, line_size=machine.line_size
+    )
+    detector = make_detector("fast", threads, machine.model_stack_lines)
+    return gen, detector, steady_state_runner(gen, detector)
+
+
+@st.composite
+def _gate_cases(draw):
+    """A kernel, a schedule and a machine; most parallel trips are whole
+    chunk runs, so the shift profile usually exists."""
+    threads = draw(st.integers(2, 8))
+    chunk = draw(st.integers(1, 8))
+    trip = threads * chunk * draw(st.integers(1, 48))
+    trip += draw(st.sampled_from([0, 0, 0, 1]))  # sometimes ragged
+    family = draw(st.sampled_from(["heat", "dft", "copy", "nested"]))
+    if family == "heat":
+        nest = heat_diffusion(rows=draw(st.integers(3, 5)), cols=trip + 2).nest
+    elif family == "dft":
+        nest = dft(samples=draw(st.integers(1, 4)), freqs=trip).nest
+    elif family == "copy":
+        nest = make_copy_nest(n=trip)
+    else:
+        nest = make_nested_nest(rows=draw(st.integers(1, 4)), cols=trip)
+    stack = draw(st.sampled_from(sorted(_GATE_MACHINES)))
+    return _GATE_MACHINES[stack], nest, threads, chunk
+
+
+class TestSteadyStateGate:
+    @given(case=_gate_cases(), record_series=st.booleans())
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_gate_never_declines_a_win(self, case, record_series):
+        machine, nest, threads, chunk = case
+        gen, detector, (runner, why) = _gate(machine, nest, threads, chunk)
+        r, span_why, ran = _traced_default(
+            machine, nest, threads, chunk, record_series=record_series
+        )
+        assert span_why == why
+        assert ran == (runner is not None) == (why == "ran")
+        if runner is not None:
+            return
+        assert r.runs_extrapolated == 0
+        plain = FalseSharingModel(machine, steady_state=False).analyze(
+            nest, threads, chunk=chunk, record_series=record_series
+        )
+        assert _result_state(r) == _result_state(plain)
+        if why == "ineligible":
+            return
+        # The runner, built and run directly on a fresh detector,
+        # extrapolates nothing either.
+        profile = compute_shift_profile(gen, threads)
+        direct = SteadyStateRunner(gen, detector, profile)
+        if why == "no-eviction":
+            # The proof holds from the earliest boundary the runner
+            # could fingerprint, not only past its warm-up estimate.
+            direct.first_attempt_window = 2
+        _, extrapolated, _ = direct.run()
+        assert extrapolated == 0
+
+    @pytest.mark.parametrize(
+        "kernel", [heat_diffusion(rows=8, cols=1026), dft(samples=8, freqs=768)]
+    )
+    def test_fitting_footprint_skips_the_runner(self, kernel):
+        """Rule 1: on the paper machine the whole grid fits the 8,192-line
+        stack, nothing is evicted, and the runner never starts."""
+        machine = paper_machine()
+        r, why, ran = _traced_default(machine, kernel.nest, 8, 1)
+        assert why == "no-eviction"
+        assert not ran
+        assert r.runs_extrapolated == 0
+        assert r.runs_simulated == r.total_chunk_runs
+
+    @pytest.mark.parametrize(
+        "machine,kernel,kwargs,expected",
+        [
+            (tiny_machine(4, 64), heat_diffusion(rows=3, cols=1026), {}, "ran"),
+            (paper_machine(), dft(samples=2, freqs=1024), {}, "no-eviction"),
+            # Rule 2: the warm-up horizon outlasts the 32-run execution.
+            (tiny_machine(4, 64), heat_diffusion(rows=3, cols=130), {},
+             "too-short"),
+            (tiny_machine(4, 64), heat_diffusion(rows=3, cols=1027), {},
+             "ineligible"),
+            (tiny_machine(4, 64), heat_diffusion(rows=3, cols=1026),
+             {"max_chunk_runs": 8}, "prefix"),
+            (tiny_machine(4, 64), heat_diffusion(rows=3, cols=1026),
+             {"steady_state": False}, "off"),
+        ],
+    )
+    def test_span_says_why(self, machine, kernel, kwargs, expected):
+        r, why, ran = _traced_default(machine, kernel.nest, 4, 1, **kwargs)
+        assert why == expected
+        assert ran == (expected == "ran")
+        assert (r.runs_extrapolated > 0) == (expected == "ran")
