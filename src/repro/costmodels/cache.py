@@ -124,7 +124,10 @@ class CacheModel:
     # -- miss rates ---------------------------------------------------------------
 
     def _misses_per_iter(
-        self, nest: ParallelLoopNest, level: CacheLevel, per_thread_iters: int
+        self,
+        groups: tuple[ReferenceGroup, ...],
+        level: CacheLevel,
+        per_thread_iters: int,
     ) -> float:
         """Misses per innermost iteration at one cache level.
 
@@ -132,7 +135,6 @@ class CacheModel:
         line is a miss.  Otherwise only cold misses, amortized over the
         loop (each distinct line missed once).
         """
-        groups = self.reference_groups(nest)
         lines_per_iter = sum(self._group_lines_per_iter(g) for g in groups)
         total_bytes = sum(self._bytes_per_iter(g) for g in groups) * per_thread_iters
         if total_bytes > level.size_bytes:
@@ -146,11 +148,10 @@ class CacheModel:
         return distinct_lines / per_thread_iters
 
     def _tlb_misses_per_iter(
-        self, nest: ParallelLoopNest, per_thread_iters: int
+        self, groups: tuple[ReferenceGroup, ...], per_thread_iters: int
     ) -> float:
         page = self.machine.page_size
         reach = self.machine.tlb_entries * page
-        groups = self.reference_groups(nest)
         pages_per_iter = sum(
             (self._bytes_per_iter(g) / page) for g in groups
         )
@@ -181,10 +182,13 @@ class CacheModel:
             nest.total_iterations() if per_thread_iters is None else per_thread_iters
         )
         m = self.machine
-        m1 = self._misses_per_iter(nest, m.l1, iters)
-        m2 = self._misses_per_iter(nest, m.l2, iters)
-        m3 = self._misses_per_iter(nest, m.l3, iters)
-        tlb = self._tlb_misses_per_iter(nest, iters)
+        # Every term below reads the same groups; building them rebuilds
+        # each reference's affine address, so it happens once here.
+        groups = self.reference_groups(nest)
+        m1 = self._misses_per_iter(groups, m.l1, iters)
+        m2 = self._misses_per_iter(groups, m.l2, iters)
+        m3 = self._misses_per_iter(groups, m.l3, iters)
+        tlb = self._tlb_misses_per_iter(groups, iters)
         # Constant-stride streams are prefetchable: the long-latency part
         # of their misses is hidden with machine.prefetch_coverage, the
         # same assumption the simulator's stride prefetcher implements.
@@ -204,5 +208,5 @@ class CacheModel:
             tlb_misses_per_iter=tlb,
             cache_cycles_per_iter=cache_cycles,
             tlb_cycles_per_iter=tlb * m.tlb_miss_cycles,
-            groups=self.reference_groups(nest),
+            groups=groups,
         )

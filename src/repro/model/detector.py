@@ -161,6 +161,7 @@ class FSDetector:
 
     def access(self, thread: int, line: int, is_write: bool) -> int:
         """Process one access; returns the FS cases it generated."""
+        self._sync()
         before = self.stats.fs_cases
         self._process_one(thread, int(line), bool(is_write))
         self.stats.accesses += 1
@@ -430,6 +431,7 @@ class FSDetector:
         with equal fingerprints evolve identically on canonically-equal
         future access streams.
         """
+        self._sync()
         h = hashlib.blake2b(digest_size=16)
         update = h.update
         if canon_arrays is not None:
@@ -469,6 +471,7 @@ class FSDetector:
         """
         if (rename is None) == (rename_arrays is None):
             raise ModelError("provide exactly one of rename/rename_arrays")
+        self._sync()
         new_stacks: list[OrderedDict[int, str]] = []
         holders: dict[int, int] = {}
         writers: dict[int, int] = {}
@@ -504,14 +507,31 @@ class FSDetector:
 
     # -- inspection -------------------------------------------------------------------
 
+    def _sync(self) -> None:
+        """Bring the cache state up to date before it is read.
+
+        A no-op here: this detector applies every access as it goes.
+        :class:`~repro.model.fastdetect.FastFSDetector` defers its
+        block write-back and applies it in this hook, which every
+        reader and every state-advancing call runs first.
+        """
+
     def cache_state(self, thread: int) -> list[tuple[int, str]]:
         """Thread's cache state, MRU first (for tests/diagnostics)."""
+        self._sync()
         return list(reversed(self._stacks[thread].items()))
+
+    def stack_sizes(self) -> tuple[int, ...]:
+        """Lines held by each thread's cache state, by thread id."""
+        self._sync()
+        return tuple(len(st) for st in self._stacks)
 
     def holders_of(self, line: int) -> int:
         """Bitmask of threads whose state holds ``line``."""
+        self._sync()
         return self._holders.get(line, 0)
 
     def writers_of(self, line: int) -> int:
         """Bitmask of threads whose state holds ``line`` Modified."""
+        self._sync()
         return self._writers.get(line, 0)

@@ -21,9 +21,11 @@ fast path therefore:
 1. flattens the block into ``(line, thread, timestamp, is_write)``
    event arrays, where the timestamp encodes the lockstep interleaving
    (step-major, then thread order, then program order of references);
-2. groups events by line (``np.lexsort``) and splits each group into
-   *segments* at write events — within a segment the owner is constant
-   until the first foreign read downgrades it;
+2. groups events by line with one index-free ``np.sort`` of packed
+   ``line · ts_span + ts`` keys (a two-key ``np.lexsort`` only for
+   astronomical line ids) and splits each group into *segments* at
+   write events — within a segment the owner is constant until the
+   first foreign read downgrades it;
 3. evaluates φ/mask per segment: the write leading a segment is an FS
    write case iff the previous segment (or the carried state) ends with
    a foreign owner; the first foreign read of a segment is the single
@@ -36,6 +38,11 @@ fast path therefore:
    untouched lines keep their relative order, touched-and-held lines
    re-enter above them ordered by their last own-access timestamp —
    precisely where the reference's pop/re-insert discipline puts them.
+   This write-back is *deferred*: the block leaves its final per-line
+   arrays pending, and they are applied the first time anything reads
+   or advances the detector (the next block, ``access``, fingerprinting,
+   shifting or inspection).  A model analysis reads only ``stats`` after
+   its last block, so there the write-back never runs.
 
 Capacity pressure is handled in the common *streaming* shape: when the
 ``K`` evictions a thread's stack needs (``|stack| + |new lines| −
@@ -139,6 +146,8 @@ class FastFSDetector(FSDetector):
         self.fallback_blocks = 0
         #: planned LRU pops for the current block (set by eligibility)
         self._block_evictions: tuple[tuple[int, int], ...] = ()
+        #: the last vectorized block's unapplied write-back (see ``_sync``)
+        self._pending: tuple | None = None
         registry = get_registry()
         self._fast_counter = registry.counter(
             "detector_fast_blocks_total",
@@ -162,6 +171,7 @@ class FastFSDetector(FSDetector):
         )
         if sorted(order) != list(range(self.num_threads)):
             raise ModelError("thread_order must be a permutation of thread ids")
+        self._sync()
         if self.mode != "invalidate" or self.num_threads > MAX_FAST_THREADS:
             self.fallback_blocks += 1
             self._fallback_counter.inc()
@@ -185,6 +195,9 @@ class FastFSDetector(FSDetector):
         the pieces qualify.  Genuinely thrashing pieces bottom out in
         the scalar path.
         """
+        # The first half's write-back lands before the second half is
+        # planned or walked.
+        self._sync()
         if self._fast_eligible(thread_lines):
             self.fast_blocks += 1
             self._fast_counter.inc()
@@ -551,7 +564,50 @@ class FastFSDetector(FSDetector):
                 if k > 0:
                     exact_ev.append((t, k))
 
-        # 5. Write the final per-line state back and rebuild stacks.
+        # 5.+6. The block's final per-line state and its planned LRU pops
+        # wait until something reads the state (see ``_sync``).  The
+        # eviction count is the block's own statistic, so it lands now.
+        stats.evictions += sum(k for _, k in exact_ev)
+        self._block_evictions = ()
+        self._pending = (
+            uniq_lines, seg_grp, seg_end_owner, seg_h_end, carr_holders,
+            carr_owner, grp, TH, TS, exact_ev,
+        )
+
+    # -- deferred write-back ------------------------------------------------------
+
+    def _sync(self) -> None:
+        """Apply the last vectorized block's pending write-back, if any.
+
+        The core leaves its final per-line arrays pending instead of
+        writing them into the dicts and stacks: a model analysis reads
+        only ``stats`` after its last block, so that write-back would be
+        work nobody reads.  Every reader and every block calls this
+        first, so what they see is exactly the applied state.
+        """
+        pending = self._pending
+        if pending is not None:
+            self._pending = None
+            self._write_back(*pending)
+
+    def _write_back(
+        self,
+        uniq_lines: np.ndarray,
+        seg_grp: np.ndarray,
+        seg_end_owner: np.ndarray,
+        seg_h_end: np.ndarray,
+        carr_holders: np.ndarray,
+        carr_owner: np.ndarray,
+        grp: np.ndarray,
+        TH: np.ndarray,
+        TS: np.ndarray,
+        exact_ev: list[tuple[int, int]],
+    ) -> None:
+        """Steps 5 and 6 of the core for one block (see module docs)."""
+        T = self.num_threads
+        ul = uniq_lines.tolist()
+        G = len(ul)
+        S = int(seg_grp.size)
         last_seg = np.empty(S, dtype=bool)
         last_seg[-1] = True
         np.not_equal(seg_grp[1:], seg_grp[:-1], out=last_seg[:-1])
@@ -568,7 +624,7 @@ class FastFSDetector(FSDetector):
         # scatter: events arrive ts-ascending per key, and duplicate
         # fancy-index assignments keep the last value written.
         last_pos = np.full(G * T, -1, dtype=np.int64)
-        last_pos[grp * T + TH] = ar_n
+        last_pos[grp * T + TH] = np.arange(grp.size, dtype=np.int64)
         pairs2 = np.flatnonzero(last_pos >= 0)
         lts = TS[last_pos[pairs2]].tolist()
         lg = (pairs2 // T).tolist()
@@ -633,8 +689,6 @@ class FastFSDetector(FSDetector):
                 ev, _ = popfront(last=False)
                 holders_d[ev] = hget2(ev, 0) & mask
                 writers_d[ev] = wget2(ev, 0) & mask
-            stats.evictions += k
-        self._block_evictions = ()
 
         # The MRU memo only enables scalar-path skips; clearing it is
         # always safe.

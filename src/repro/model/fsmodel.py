@@ -29,10 +29,15 @@ from repro.ir.refs import AddressSpace
 from repro.ir.validate import validate_nest
 from repro.machine import MachineConfig
 from repro.model.detector import FSDetector, FSStats
+from repro.model.disjoint import lines_disjoint
 from repro.model.fastdetect import ENGINES, make_detector
 from repro.model.ownership import OwnershipListGenerator
 from repro.model.schedule import IterationSpace
-from repro.model.steadystate import SteadyStateRunner, steady_state_runner
+from repro.model.steadystate import (
+    SteadyStateRunner,
+    steady_state_gate,
+    steady_state_runner,
+)
 from repro.obs import get_registry, span
 from repro.resilience.budget import Budget, estimate_cost
 from repro.resilience.errors import ModelError
@@ -226,6 +231,8 @@ class FalseSharingModel:
             )
         self.engine = engine
         self.steady_state = steady_state
+        #: the generator :meth:`fs_proof` built and left for the walk
+        self._proof_gen: OwnershipListGenerator | None = None
 
     def analyze(
         self,
@@ -277,20 +284,7 @@ class FalseSharingModel:
         The result's ``fs_cases`` is the paper's ``N_fs_model`` /
         ``N_nfs_model`` depending on the chunk configuration analyzed.
         """
-        if num_threads <= 0:
-            raise ModelError(f"num_threads must be positive, got {num_threads}")
-        if chunk is not None:
-            nest = nest.with_chunk(chunk)
-        validate_nest(nest)
-        if budget is not None and not budget.unlimited:
-            estimate = estimate_cost(nest, num_threads, self.machine)
-            if max_chunk_runs is not None:
-                # Only the prefix will run; guard what will actually
-                # be evaluated, not the whole loop.
-                prefix_steps = estimate.steps_for_runs(max_chunk_runs)
-                estimate = replace(estimate, steps=prefix_steps)
-            budget.check_estimate(estimate, where=nest.name)
-
+        nest = self._checked(nest, num_threads, chunk, max_chunk_runs, budget)
         with span(
             "model.analyze", kernel=nest.name, threads=num_threads,
             mode=self.mode,
@@ -310,6 +304,113 @@ class FalseSharingModel:
             )
         return result
 
+    def _checked(
+        self,
+        nest: ParallelLoopNest,
+        num_threads: int,
+        chunk: int | None,
+        max_chunk_runs: int | None,
+        budget: Budget | None,
+    ) -> ParallelLoopNest:
+        """The pre-walk checks: arguments, the nest, the budget estimate.
+
+        Returns the nest at the analyzed chunk.
+        """
+        if num_threads <= 0:
+            raise ModelError(f"num_threads must be positive, got {num_threads}")
+        if chunk is not None:
+            nest = nest.with_chunk(chunk)
+        validate_nest(nest)
+        if budget is not None and not budget.unlimited:
+            estimate = estimate_cost(nest, num_threads, self.machine)
+            if max_chunk_runs is not None:
+                # Only the prefix will run; guard what will actually
+                # be evaluated, not the whole loop.
+                prefix_steps = estimate.steps_for_runs(max_chunk_runs)
+                estimate = replace(estimate, steps=prefix_steps)
+            budget.check_estimate(estimate, where=nest.name)
+        return nest
+
+    def fs_proof(
+        self,
+        nest: ParallelLoopNest,
+        num_threads: int,
+        chunk: int | None = None,
+        max_chunk_runs: int | None = None,
+        budget: Budget | None = None,
+    ) -> str:
+        """Decide before the walk whether :meth:`analyze` would count 0.
+
+        For callers that need only the FS counts of an analysis (a sweep
+        point, through the resilience ladder).  Returns
+
+        ``"disjoint"``
+            :func:`~repro.model.disjoint.lines_disjoint` holds: no line
+            one thread writes is touched by another, so the analysis
+            counts 0 FS cases (read and write) and reports ``"exact"``
+            fidelity — the caller may skip the walk;
+        ``"overlap"``
+            the proof does not hold, so the walk decides;
+        ``"oracle"``
+            the reference engine, which always walks (it is the oracle
+            every served point is checked against);
+        ``"steady-state"``
+            a full-loop analysis the steady-state gate would hand to its
+            runner, which may report ``"exact-steady-state"``.
+
+        The same pre-walk checks as :meth:`analyze` run first, so an
+        over-budget estimate raises here exactly as it would there; a
+        proved analysis also checks the deadline once, as the walk does
+        before its first block.  Unless the answer is ``"disjoint"``,
+        the next :meth:`analyze` of the same nest object and thread
+        count reuses the generator built here.
+        """
+        nest = self._checked(nest, num_threads, chunk, max_chunk_runs, budget)
+        if self.engine != "fast":
+            return "oracle"
+        gen = self._generator(nest, num_threads, None)
+        spr = gen.iteration_space.steps_per_chunk_run
+        if max_chunk_runs is None and self.steady_state:
+            if steady_state_gate(gen, self.machine.model_stack_lines)[1] == "ran":
+                self._proof_gen = gen
+                return "steady-state"
+        max_steps = None if max_chunk_runs is None else max_chunk_runs * spr
+        if not lines_disjoint(gen, max_steps):
+            self._proof_gen = gen
+            return "overlap"
+        if budget is not None:
+            budget.check_deadline(f"analysis of {nest.name}")
+        get_registry().counter(
+            "model_fs_free_points_total",
+            "analyses proved free of false sharing without a walk",
+        ).labels(kernel=nest.name).inc()
+        return "disjoint"
+
+    def _generator(
+        self,
+        nest: ParallelLoopNest,
+        num_threads: int,
+        space: AddressSpace | None,
+    ) -> OwnershipListGenerator:
+        """The ownership generator for one analysis: the one
+        :meth:`fs_proof` left for this nest object and thread count, or a
+        new one."""
+        gen, self._proof_gen = self._proof_gen, None
+        if (
+            gen is not None
+            and space is None
+            and gen.nest is nest
+            and gen.num_threads == num_threads
+        ):
+            return gen
+        return OwnershipListGenerator(
+            nest,
+            num_threads,
+            line_size=self.machine.line_size,
+            space=space,
+            block_steps=self.block_steps,
+        )
+
     def _analyze(
         self,
         nest: ParallelLoopNest,
@@ -325,13 +426,7 @@ class FalseSharingModel:
         run: ``"off"``, ``"prefix"`` or :func:`steady_state_runner`'s
         reason."""
         t0 = time.perf_counter()
-        gen = OwnershipListGenerator(
-            nest,
-            num_threads,
-            line_size=self.machine.line_size,
-            space=space,
-            block_steps=self.block_steps,
-        )
+        gen = self._generator(nest, num_threads, space)
         ispace: IterationSpace = gen.iteration_space
 
         steps_per_run = ispace.steps_per_chunk_run

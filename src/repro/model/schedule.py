@@ -158,6 +158,10 @@ class LockstepEnumerator:
         """The worksharing loop (public accessor for model consumers)."""
         return self._parallel_loop
 
+    def positions(self, thread: int) -> np.ndarray:
+        """Parallel-loop positions assigned to one thread, ascending."""
+        return self._positions[thread]
+
     def thread_steps(self, thread: int) -> int:
         """Total innermost iterations executed by one thread."""
         return (

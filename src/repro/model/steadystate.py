@@ -26,7 +26,7 @@ The four pieces:
     Builds the profile from an ownership generator, or returns ``None``
     when the loop does not qualify (the model then falls back to plain
     full simulation — the early exit is strictly opt-in-when-provable).
-:func:`steady_state_runner`
+:func:`steady_state_gate` / :func:`steady_state_runner`
     The gate: builds the runner only when it can extrapolate at least
     one chunk run, and otherwise leaves the model to its plain walk.
 :class:`SteadyStateRunner`
@@ -63,6 +63,7 @@ __all__ = [
     "ShiftProfile",
     "SteadyStateRunner",
     "compute_shift_profile",
+    "steady_state_gate",
     "steady_state_runner",
 ]
 
@@ -345,36 +346,12 @@ class SteadyStateRunner:
         #: live stat-capture state (see ``_begin_capture``)
         self._saved_counters: tuple | None = None
         self._cap_scalars: tuple[int, ...] = ()
-        spr = gen.iteration_space.steps_per_chunk_run
-        p = profile.period_runs
-        # Window sizing: big enough that one window amortizes the
-        # vectorized detector's per-call cost (~a few hundred lockstep
-        # steps), small enough that an execution holds many windows —
-        # detection latency, and therefore the simulated prefix, is one
-        # window granule.
-        target_steps = max(spr, 256)
-        batch = max(1, target_steps // max(p * spr, 1))
-        batch = min(batch, max(1, profile.runs_per_exec // (8 * p)))
         #: detection-window size in chunk runs (a multiple of the period)
-        self.window_runs = batch * p
-        # When some array shifts, the gate only lets the runner see loops
-        # whose footprint exceeds the per-thread stack capacity (the
-        # eviction regime).  There the first ~capacity/lines-per-run
-        # chunk runs of every execution are a warm-up: residual lines
-        # from the cold cache (or the previous execution) are still being
-        # evicted, so boundary states cannot be shift-isomorphic yet even
-        # though the stat deltas and stack sizes already look steady.
-        # Estimating that horizon up front avoids burning fingerprint
-        # backoff on provably-premature attempts; correctness never
-        # depends on it.
-        shift_total = sum(abs(d) for d in profile.line_shifts)
-        #: first window whose boundary is fingerprinted
-        self.first_attempt_window = 2
-        if shift_total > 0:
-            warmup_runs = detector.stack_lines * p // shift_total
-            self.first_attempt_window = max(
-                2, warmup_runs // self.window_runs + 1
-            )
+        #: and the first window whose boundary is fingerprinted
+        self.window_runs, self.first_attempt_window = _window_plan(
+            profile, gen.iteration_space.steps_per_chunk_run,
+            detector.stack_lines,
+        )
 
     # -- simulation --------------------------------------------------------------
 
@@ -577,7 +554,6 @@ class SteadyStateRunner:
         """
         P = self.window_runs
         p = self.profile.period_runs
-        stacks = self.detector._stacks
         # Bulk-simulate the estimated warm-up (minus the two windows the
         # detection chain needs as context) in one big-block call —
         # detection bookkeeping is pointless before isomorphism is even
@@ -598,7 +574,7 @@ class SteadyStateRunner:
             window_idx = r // P
             after = self._scalar_snapshot()
             delta_s = tuple(b - a for a, b in zip(before, after))
-            sizes = tuple(len(st) for st in stacks)
+            sizes = self.detector.stack_sizes()
             if (
                 prev_scalars is None
                 or delta_s != prev_scalars
@@ -683,22 +659,51 @@ class SteadyStateRunner:
         return self.runs_simulated, self.runs_extrapolated, series
 
 
-def steady_state_runner(
-    gen: OwnershipListGenerator,
-    detector: FSDetector,
-    thread_order: Sequence[int] | None = None,
-    budget: Budget | None = None,
-    record_series: bool = False,
-    block_steps: int = 4096,
-) -> tuple[SteadyStateRunner | None, str]:
-    """The runner for a full-loop analysis, or ``None`` where it cannot win.
+def _window_plan(
+    profile: ShiftProfile, steps_per_run: int, stack_lines: int
+) -> tuple[int, int]:
+    """The runner's detection window (chunk runs) and first attempt.
 
-    Returns the runner (``None`` tells the model to walk plain blocks)
-    and why: ``"ran"``, ``"ineligible"`` (no shift profile),
-    ``"no-eviction"`` (rule 1) or ``"too-short"`` (rule 2).  Each rule
-    sets a minimum chunk-run count per execution — unbounded for rule 1
-    — below which the runner provably extrapolates nothing, so a decline
-    changes no result, counter or ``runs_extrapolated`` value.
+    Window sizing: big enough that one window amortizes the vectorized
+    detector's per-call cost (~a few hundred lockstep steps), small
+    enough that an execution holds many windows — detection latency,
+    and therefore the simulated prefix, is one window granule.
+
+    When some array shifts, the gate only lets the runner see loops
+    whose footprint exceeds the per-thread stack capacity (the eviction
+    regime).  There the first ~capacity/lines-per-run chunk runs of
+    every execution are a warm-up: residual lines from the cold cache
+    (or the previous execution) are still being evicted, so boundary
+    states cannot be shift-isomorphic yet even though the stat deltas
+    and stack sizes already look steady.  Estimating that horizon up
+    front avoids burning fingerprint backoff on provably-premature
+    attempts; correctness never depends on it.
+    """
+    p = profile.period_runs
+    target_steps = max(steps_per_run, 256)
+    batch = max(1, target_steps // max(p * steps_per_run, 1))
+    batch = min(batch, max(1, profile.runs_per_exec // (8 * p)))
+    window_runs = batch * p
+    first_attempt_window = 2
+    shift_total = sum(abs(d) for d in profile.line_shifts)
+    if shift_total > 0:
+        warmup_runs = stack_lines * p // shift_total
+        first_attempt_window = max(2, warmup_runs // window_runs + 1)
+    return window_runs, first_attempt_window
+
+
+def steady_state_gate(
+    gen: OwnershipListGenerator, stack_lines: int
+) -> tuple[ShiftProfile | None, str]:
+    """Whether the runner could extrapolate a full-loop analysis.
+
+    Returns the shift profile (``None`` when the nest has none) and the
+    reason: ``"ran"`` when the runner may extrapolate, else
+    ``"ineligible"`` (no shift profile), ``"no-eviction"`` (rule 1) or
+    ``"too-short"`` (rule 2).  Each rule sets a minimum chunk-run count
+    per execution — unbounded for rule 1 — below which the runner
+    provably extrapolates nothing, so a decline changes no result,
+    counter or ``runs_extrapolated`` value.
 
     **Rule 1: no eviction → never.**  Applies when some referenced array
     shifts by ``d_i != 0`` lines per period and the nest's footprint
@@ -718,17 +723,39 @@ def steady_state_runner(
     least one window.  An execution shorter than
     ``(first_attempt_window + 2) · window_runs`` chunk runs ends first.
 
-    The window size and warm-up horizon are the runner's own, so the
-    gate and the walk it guards cannot disagree about them.
+    The window size and warm-up horizon are the runner's own
+    (:func:`_window_plan`), so the gate and the walk it guards cannot
+    disagree about them.
     """
     profile = compute_shift_profile(gen, gen.num_threads)
     if profile is None:
         return None, "ineligible"
-    if (
-        any(profile.line_shifts)
-        and profile.footprint_lines <= detector.stack_lines
-    ):
-        return None, "no-eviction"
+    if any(profile.line_shifts) and profile.footprint_lines <= stack_lines:
+        return profile, "no-eviction"
+    window_runs, first_attempt_window = _window_plan(
+        profile, gen.iteration_space.steps_per_chunk_run, stack_lines
+    )
+    if profile.runs_per_exec < (first_attempt_window + 2) * window_runs:
+        return profile, "too-short"
+    return profile, "ran"
+
+
+def steady_state_runner(
+    gen: OwnershipListGenerator,
+    detector: FSDetector,
+    thread_order: Sequence[int] | None = None,
+    budget: Budget | None = None,
+    record_series: bool = False,
+    block_steps: int = 4096,
+) -> tuple[SteadyStateRunner | None, str]:
+    """The runner for a full-loop analysis, or ``None`` where it cannot win.
+
+    Returns the runner (``None`` tells the model to walk plain blocks)
+    and :func:`steady_state_gate`'s reason.
+    """
+    profile, reason = steady_state_gate(gen, detector.stack_lines)
+    if reason != "ran":
+        return None, reason
     runner = SteadyStateRunner(
         gen,
         detector,
@@ -738,7 +765,4 @@ def steady_state_runner(
         record_series=record_series,
         block_steps=block_steps,
     )
-    min_runs = (runner.first_attempt_window + 2) * runner.window_runs
-    if profile.runs_per_exec < min_runs:
-        return None, "too-short"
-    return runner, "ran"
+    return runner, reason

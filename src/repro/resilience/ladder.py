@@ -91,7 +91,9 @@ class LadderOutcome:
     fs_write_fraction: float
     degradation: str | None = None
     #: Level-specific detail object: FSModelResult for "exact",
-    #: FSPrediction for "regression", CostEstimate for "analytic".
+    #: FSPrediction for "regression", CostEstimate for "analytic";
+    #: ``None`` when the model proved the analysis free of FS and
+    #: skipped the walk (``FalseSharingModel.fs_proof``).
     detail: object | None = None
 
     @property
@@ -121,7 +123,37 @@ def _split(fs_cases: int, read_cases: int, write_cases: int) -> tuple[float, flo
     return read_cases / total, write_cases / total
 
 
-def _try_exact(model, nest, num_threads, chunk, budget) -> LadderOutcome:
+def _chunk_of(nest, num_threads, chunk) -> int:
+    """The chunk an analysis of ``nest`` at ``chunk`` runs with."""
+    if chunk is not None:
+        return chunk
+    from repro.model.schedule import effective_chunk
+
+    return effective_chunk(nest, num_threads)
+
+
+def _fs_free(nest, num_threads, chunk, fidelity) -> LadderOutcome:
+    """The outcome of an analysis the model proved free of FS: what the
+    walk would report, 0 cases (see ``FalseSharingModel.fs_proof``)."""
+    read_f, write_f = _split(0, 0, 0)
+    return LadderOutcome(
+        nest_name=nest.name,
+        num_threads=num_threads,
+        chunk=_chunk_of(nest, num_threads, chunk),
+        fidelity=fidelity,
+        requested=fidelity,
+        fs_cases=0.0,
+        fs_read_fraction=read_f,
+        fs_write_fraction=write_f,
+    )
+
+
+def _try_exact(model, nest, num_threads, chunk, budget, proofs) -> LadderOutcome:
+    proofs.append(
+        model.fs_proof(nest, num_threads, chunk=chunk, budget=budget)
+    )
+    if proofs[-1] == "disjoint":
+        return _fs_free(nest, num_threads, chunk, "exact")
     result = model.analyze(nest, num_threads, chunk=chunk, budget=budget)
     read_f, write_f = _split(
         result.fs_cases, result.fs_read_cases, result.fs_write_cases
@@ -155,10 +187,14 @@ def _fit_runs(estimate: CostEstimate, budget: Budget | None, requested: int) -> 
 
 
 def _try_regression(
-    model, nest, num_threads, chunk, budget, predictor_runs, method
+    model, nest, num_threads, chunk, budget, predictor_runs, method, proofs
 ) -> tuple[LadderOutcome | None, str | None]:
     """Attempt the regression level; (outcome, None) on success,
-    (None, reason) when it cannot fit the budget."""
+    (None, reason) when it cannot fit the budget.
+
+    A prefix proved free of FS samples an all-zero series, whose fit
+    predicts exactly 0.0 under either fitting rule, so the walk and the
+    fit are skipped."""
     from repro.model.regression import FalseSharingPredictor
 
     estimate = estimate_cost(nest, num_threads, model.machine, chunk=chunk)
@@ -175,6 +211,14 @@ def _try_regression(
         )
     predictor = FalseSharingPredictor(model, n_runs=runs, method=method)
     try:
+        proofs.append(
+            model.fs_proof(
+                nest, num_threads, chunk=chunk, max_chunk_runs=runs,
+                budget=budget,
+            )
+        )
+        if proofs[-1] == "disjoint":
+            return _fs_free(nest, num_threads, chunk, "regression"), None
         pred = predictor.predict(nest, num_threads, chunk=chunk, budget=budget)
     except BudgetExceededError as exc:
         return None, exc.message
@@ -208,16 +252,10 @@ def _analytic_bound(machine, nest, num_threads, chunk) -> LadderOutcome:
     ever enumerated, so it cannot exceed any budget.
     """
     estimate = estimate_cost(nest, num_threads, machine, chunk=chunk)
-    if chunk is not None:
-        bound_chunk = chunk
-    else:
-        from repro.model.schedule import effective_chunk
-
-        bound_chunk = effective_chunk(nest, num_threads)
     return LadderOutcome(
         nest_name=nest.name,
         num_threads=num_threads,
-        chunk=bound_chunk,
+        chunk=_chunk_of(nest, num_threads, chunk),
         fidelity="analytic",
         requested="analytic",
         fs_cases=float(estimate.accesses * max(num_threads - 1, 0)),
@@ -257,6 +295,15 @@ def analyze_with_ladder(
     Frontend/model errors (:class:`~repro.resilience.errors.ModelError`
     etc.) still propagate — the ladder degrades on *resource* pressure,
     not on wrong inputs.
+
+    Each model rung first asks ``model.fs_proof`` whether its walk can
+    be skipped, after that rung's budget decisions (the estimate check,
+    the affordable prefix, the state guard), so a point degrades exactly
+    as it would with the walk.  A proved rung returns 0 FS cases at the
+    fidelity the walk would report.  The span's ``fs_proof`` attribute
+    records the last answer: ``disjoint`` (walk skipped), ``overlap``,
+    ``oracle`` (the reference engine always walks) or ``steady-state``
+    (the steady-state runner would run).
     """
     if prefer not in FIDELITY_LEVELS:
         raise ValueError(f"unknown fidelity level {prefer!r}")
@@ -267,14 +314,18 @@ def analyze_with_ladder(
 
     requested = prefer
     degradation: str | None = None
+    #: the model's answer on skipping the walk, per rung that asked
+    proofs: list[str] = []
     with span(
         "resilience.ladder", kernel=nest.name, threads=num_threads,
         prefer=prefer,
     ) as sp:
         if prefer == "exact":
             try:
-                outcome = _try_exact(model, nest, num_threads, chunk, budget)
-                sp.set(fidelity=outcome.fidelity)
+                outcome = _try_exact(
+                    model, nest, num_threads, chunk, budget, proofs
+                )
+                sp.set(fidelity=outcome.fidelity, fs_proof=proofs[-1])
                 return outcome
             except BudgetExceededError as exc:
                 degradation = f"exact analysis over budget: {exc.message}"
@@ -283,8 +334,10 @@ def analyze_with_ladder(
         if prefer in ("exact", "regression"):
             outcome, reason = _try_regression(
                 model, nest, num_threads, chunk, budget, predictor_runs,
-                method,
+                method, proofs,
             )
+            if proofs:
+                sp.set(fs_proof=proofs[-1])
             if outcome is not None:
                 sp.set(fidelity="regression")
                 if requested == "regression":

@@ -180,6 +180,99 @@ class TestBlockEquivalence:
             d.process_block(mats, np.array([True]), thread_order=[0, 0])
 
 
+#: Every way to read or advance a detector's state besides a block.
+_READERS = (
+    "none", "cache_state", "holders_of", "writers_of", "stack_sizes",
+    "state_fingerprint", "shift_lines", "access",
+)
+
+
+def _read(d: FSDetector, reader: str, mats) -> object:
+    """Read (or advance) ``d`` through ``reader``; returns what it saw."""
+    lines = sorted({int(x) for m in mats for x in m.ravel()})
+    if reader == "cache_state":
+        return [d.cache_state(t) for t in range(d.num_threads)]
+    if reader in ("holders_of", "writers_of"):
+        return [getattr(d, reader)(ln) for ln in lines]
+    if reader == "stack_sizes":
+        return d.stack_sizes()
+    if reader == "state_fingerprint":
+        return d.state_fingerprint()
+    if reader == "shift_lines":
+        d.shift_lines(rename=lambda ln: ln + 7)
+        return d.state_fingerprint()
+    if reader == "access":
+        return [
+            d.access(t, lines[(t * 3) % len(lines)], t % 2 == 0)
+            for t in range(d.num_threads)
+        ]
+    return None
+
+
+class TestDeferredWriteBack:
+    """The fast core applies a block's final state only when something
+    reads or advances the detector; every reader sees exactly the
+    reference detector's state, after any block."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(2, 4),
+        cap=st.sampled_from([8, 32, 4096]),
+        refs=st.integers(1, 3),
+        streaming=st.booleans(),
+        readers=st.lists(st.sampled_from(_READERS), min_size=1, max_size=6),
+    )
+    @settings(deadline=None)
+    def test_every_reader_sees_the_reference_state(
+        self, seed, T, cap, refs, streaming, readers
+    ):
+        rng = np.random.default_rng(seed)
+        writes = rng.random(refs) < 0.4
+        blocks = _random_blocks(
+            rng, T, refs, n_blocks=len(readers), max_steps=300,
+            streaming=streaming,
+        )
+        ref_d = FSDetector(T, cap)
+        fast_d = FastFSDetector(T, cap)
+        for mats, reader in zip(blocks, readers):
+            ref_d.process_block(mats, writes)
+            fast_d.process_block(mats, writes)
+            assert _read(fast_d, reader, mats) == _read(ref_d, reader, mats)
+        assert _full_state(fast_d) == _full_state(ref_d)
+
+    def test_write_back_waits_for_a_reader(self):
+        rng = np.random.default_rng(3)
+        d = FastFSDetector(4, 64)
+        mats = tuple(
+            rng.integers(0, 30, size=(MIN_FAST_EVENTS, 2)).astype(np.int64)
+            for _ in range(4)
+        )
+        d.process_block(mats, np.array([True, False]))
+        assert d.fast_blocks == 1
+        assert d._pending is not None
+        assert sum(len(s) for s in d._stacks) == 0  # nothing applied yet
+        assert sum(d.stack_sizes()) > 0
+        assert d._pending is None
+
+    def test_split_block_applies_first_half_before_second(self):
+        """A block ``_dispatch`` halves plans its second half against the
+        first half's applied state."""
+        # Each thread streams more new lines than its stack holds, so
+        # only pieces of the block qualify, each evicting the lines the
+        # piece before it inserted.
+        T, cap, refs = 3, 100, 2
+        writes = np.array([True, False])
+        steps = 4 * MIN_FAST_EVENTS
+        stream = np.repeat(np.arange(steps, dtype=np.int64)[:, None], refs, 1)
+        mats = tuple(stream + t * 10**6 for t in range(T))
+        ref_d = FSDetector(T, cap)
+        fast_d = FastFSDetector(T, cap)
+        ref_d.process_block(mats, writes)
+        fast_d.process_block(mats, writes)
+        assert fast_d.fast_blocks >= 2 and fast_d.stats.evictions > 0
+        assert _full_state(fast_d) == _full_state(ref_d)
+
+
 class TestModelLevelEquivalence:
     """engine="fast" and engine="reference" produce identical results
     through the full model, chunk-run series included."""
