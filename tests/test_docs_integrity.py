@@ -2,8 +2,9 @@
 
 These tests keep README/DESIGN/docs honest: referenced files exist,
 the experiment index points at real bench modules, the README's
-quickstart snippet actually runs, and quoted detector timings are the
-committed ``BENCH_model.json``'s.
+quickstart snippet actually runs, quoted detector timings are the
+committed ``BENCH_model.json``'s and quoted perfbench figures the
+committed ``BENCH_perfbench.json``'s.
 """
 
 import json
@@ -240,3 +241,93 @@ class TestBenchModelQuotes:
             assert self._quotes(lo, min(speedups))
             assert self._quotes(hi, max(speedups))
 
+
+class TestBenchPerfbenchQuotes:
+    """perfbench figures in the docs are read from ``BENCH_perfbench.json``.
+
+    Two quoting forms are checked.  A table led by a sentence citing
+    "`BENCH_perfbench.json` record `ID`" has rows whose first cell names
+    `` `workload` `metric` `` and whose next cells give the parent's and
+    the change's median (optionally ``[q1, q3]``) and "N of M" pairs;
+    a dotted metric is a per-layer figure of the record's traced run.
+    A sentence "`workload` `metric` falls from X to Y (`BENCH_perfbench.json`
+    record `ID`" quotes the two medians.
+    """
+
+    _DOCS = ("README.md", "docs/PERFORMANCE.md")
+    _CITE = r"`BENCH_perfbench\.json`\s+record\s+`([\w-]+)`"
+
+    @staticmethod
+    def _records() -> dict:
+        doc = json.loads(
+            (REPO / "BENCH_perfbench.json").read_text(encoding="utf-8")
+        )
+        return {r["id"]: r for r in doc["records"]}
+
+    @staticmethod
+    def _text(doc: str) -> str:
+        return (REPO / doc).read_text(encoding="utf-8")
+
+    def _tables(self, text: str):
+        for cite in re.finditer(self._CITE, text):
+            after = text[cite.end():].split("\n\n|", 1)
+            if len(after) < 2 or "\n\n" in after[0].strip("\n"):
+                continue  # the citation does not lead a table
+            rows = []
+            for line in ("|" + after[1]).splitlines()[2:]:
+                if not line.startswith("|"):
+                    break
+                rows.append([c.strip() for c in line.strip("|").split("|")])
+            yield cite.group(1), rows
+
+    @staticmethod
+    def _figures(record: dict, workload: str, metric: str) -> tuple:
+        """(parent, change, pairs) figures the record holds for a row."""
+        entry = record["workloads"][workload]
+        if "." in metric:
+            traced = entry["traced"]
+            return [traced["parent"][metric]], [traced["change"][metric]], None
+        s = entry["summary"][metric]
+        return (
+            [s["parent_median"], s["parent_q1"], s["parent_q3"]],
+            [s["change_median"], s["change_q1"], s["change_q3"]],
+            [s["change_better_in"], s["pairs"]],
+        )
+
+    @pytest.mark.parametrize("doc", _DOCS)
+    def test_quoted_tables_match_json(self, doc):
+        records = self._records()
+        checked = 0
+        for rid, rows in self._tables(self._text(doc)):
+            record = records[rid]
+            for cells in rows:
+                workload, metric = re.findall(r"`([\w.]+)`", cells[0])[:2]
+                want = self._figures(record, workload, metric)
+                for cell, values in zip(cells[1:4], want):
+                    quoted = TestBenchModelQuotes._numbers(cell)
+                    if values is None or not quoted:
+                        continue
+                    assert len(quoted) <= len(values), (doc, cells)
+                    for text, value in zip(quoted, values):
+                        assert TestBenchModelQuotes._quotes(text, value), (
+                            f"{doc} {workload} {metric}: {cell!r} is not "
+                            f"BENCH_perfbench.json's {values}"
+                        )
+                    checked += 1
+        if doc == "docs/PERFORMANCE.md":
+            assert checked, "PERFORMANCE.md no longer quotes perfbench pairs"
+
+    @pytest.mark.parametrize("doc", _DOCS)
+    def test_quoted_sentences_match_json(self, doc):
+        records = self._records()
+        text = " ".join(self._text(doc).split())
+        found = re.findall(
+            r"`(\w+)` `([\w.]+)` falls from ([\d.]+) \S+ to ([\d.]+) \S+ "
+            r"\(" + self._CITE,
+            text,
+        )
+        assert found, f"{doc} no longer quotes the claimed perfbench gain"
+        for workload, metric, before, after, rid in found:
+            parent, change, _ = self._figures(records[rid], workload, metric)
+            assert TestBenchModelQuotes._quotes(before, parent[0]), (doc, metric)
+            assert TestBenchModelQuotes._quotes(after, change[0]), (doc, metric)
