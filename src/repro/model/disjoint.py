@@ -92,20 +92,10 @@ def lines_disjoint(
     writes = gen.write_mask
     # A reference can meet a written line only if its line range over the
     # whole nest meets some written reference's; the others drop out
-    # before any interval is built (usually every read of an array no
-    # thread writes).
-    ends = {
-        lp.var: (lp.lower.as_int(), lp.lower.as_int() + (trip - 1) * lp.step)
-        for lp, trip in zip(loops, trips)
-    }
-    reach = np.empty((len(exprs), 2), dtype=np.int64)
-    for r, expr in enumerate(exprs):
-        lo = hi = expr.const
-        for var, k in expr.coeffs:
-            first, last = (k * x for x in ends[var])
-            lo += min(first, last)
-            hi += max(first, last)
-        reach[r] = (lo // gen.line_size, hi // gen.line_size)
+    # before any interval is built.  On the benchmark sweep that is more
+    # than half of the references (every read of an array no thread
+    # writes), and it halves the proof's time (docs/PERFORMANCE.md §6).
+    reach = np.array(gen.address_extremes(), dtype=np.int64) // gen.line_size
     w_reach = reach[writes]
     keep = (
         (reach[:, None, 0] <= w_reach[None, :, 1])
@@ -170,25 +160,13 @@ def lines_disjoint(
             shift = coeffs[sel] @ outer_values[:, o]
             lo += shift
             hi += shift
-            o = np.broadcast_to(o, lo.shape)
-        else:
-            o = np.zeros(lo.shape, dtype=np.int64)
         parts.append((
             lo.ravel() // gen.line_size,
             hi.ravel() // gen.line_size,
             np.broadcast_to(owner, lo.shape).ravel(),
             np.broadcast_to(writes[sel, None], lo.shape).ravel(),
-            o.ravel(),
         ))
-    lo, hi, owner, written, o = (np.concatenate(p) for p in zip(*parts))
-    # A foreign meeting inside the first outer iteration already fails
-    # the proof; most overlapping analyses show one there.
-    first_iter = o == 0
-    if not first_iter.all() and _foreign_overlap(
-        lo[first_iter], hi[first_iter], owner[first_iter],
-        written[first_iter], T,
-    ):
-        return False
+    lo, hi, owner, written = (np.concatenate(p) for p in zip(*parts))
     return not _foreign_overlap(lo, hi, owner, written, T)
 
 

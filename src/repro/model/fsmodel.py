@@ -231,8 +231,10 @@ class FalseSharingModel:
             )
         self.engine = engine
         self.steady_state = steady_state
-        #: the generator :meth:`fs_proof` built and left for the walk
-        self._proof_gen: OwnershipListGenerator | None = None
+        #: what :meth:`fs_proof` left for the walk that follows it: the
+        #: arguments it checked, ``(nest, num_threads, chunk,
+        #: max_chunk_runs, budget)``, then the generator it built
+        self._pending: tuple | None = None
 
     def analyze(
         self,
@@ -284,14 +286,28 @@ class FalseSharingModel:
         The result's ``fs_cases`` is the paper's ``N_fs_model`` /
         ``N_nfs_model`` depending on the chunk configuration analyzed.
         """
-        nest = self._checked(nest, num_threads, chunk, max_chunk_runs, budget)
+        pending, self._pending = self._pending, None
+        if (
+            pending is not None
+            and space is None
+            and pending[0] is nest
+            and pending[4] is budget
+            and pending[1:4] == (num_threads, chunk, max_chunk_runs)
+        ):
+            gen = pending[5]
+            nest = gen.nest
+        else:
+            gen = None
+            nest = self._checked(
+                nest, num_threads, chunk, max_chunk_runs, budget
+            )
         with span(
             "model.analyze", kernel=nest.name, threads=num_threads,
             mode=self.mode,
         ) as sp:
             result, steady = self._analyze(
                 nest, num_threads, max_chunk_runs, record_series, space,
-                budget,
+                budget, gen,
                 engine=self.engine if engine is None else engine,
                 steady_state=(
                     self.steady_state if steady_state is None else steady_state
@@ -361,55 +377,40 @@ class FalseSharingModel:
         The same pre-walk checks as :meth:`analyze` run first, so an
         over-budget estimate raises here exactly as it would there; a
         proved analysis also checks the deadline once, as the walk does
-        before its first block.  Unless the answer is ``"disjoint"``,
-        the next :meth:`analyze` of the same nest object and thread
-        count reuses the generator built here.
+        before its first block.  Unless the answer is ``"disjoint"`` or
+        ``"oracle"``, the next :meth:`analyze` with the same arguments
+        (the same nest and budget objects) skips those checks and walks
+        the generator built here.
         """
-        nest = self._checked(nest, num_threads, chunk, max_chunk_runs, budget)
+        self._pending = None
+        checked = self._checked(
+            nest, num_threads, chunk, max_chunk_runs, budget
+        )
         if self.engine != "fast":
             return "oracle"
-        gen = self._generator(nest, num_threads, None)
-        spr = gen.iteration_space.steps_per_chunk_run
+        gen = OwnershipListGenerator(
+            checked,
+            num_threads,
+            line_size=self.machine.line_size,
+            block_steps=self.block_steps,
+        )
+        pending = (nest, num_threads, chunk, max_chunk_runs, budget, gen)
         if max_chunk_runs is None and self.steady_state:
             if steady_state_gate(gen, self.machine.model_stack_lines)[1] == "ran":
-                self._proof_gen = gen
+                self._pending = pending
                 return "steady-state"
+        spr = gen.iteration_space.steps_per_chunk_run
         max_steps = None if max_chunk_runs is None else max_chunk_runs * spr
         if not lines_disjoint(gen, max_steps):
-            self._proof_gen = gen
+            self._pending = pending
             return "overlap"
         if budget is not None:
-            budget.check_deadline(f"analysis of {nest.name}")
+            budget.check_deadline(f"analysis of {checked.name}")
         get_registry().counter(
             "model_fs_free_points_total",
             "analyses proved free of false sharing without a walk",
-        ).labels(kernel=nest.name).inc()
+        ).labels(kernel=checked.name).inc()
         return "disjoint"
-
-    def _generator(
-        self,
-        nest: ParallelLoopNest,
-        num_threads: int,
-        space: AddressSpace | None,
-    ) -> OwnershipListGenerator:
-        """The ownership generator for one analysis: the one
-        :meth:`fs_proof` left for this nest object and thread count, or a
-        new one."""
-        gen, self._proof_gen = self._proof_gen, None
-        if (
-            gen is not None
-            and space is None
-            and gen.nest is nest
-            and gen.num_threads == num_threads
-        ):
-            return gen
-        return OwnershipListGenerator(
-            nest,
-            num_threads,
-            line_size=self.machine.line_size,
-            space=space,
-            block_steps=self.block_steps,
-        )
 
     def _analyze(
         self,
@@ -419,14 +420,23 @@ class FalseSharingModel:
         record_series: bool,
         space: AddressSpace | None,
         budget: Budget | None = None,
+        gen: OwnershipListGenerator | None = None,
         engine: str = "fast",
         steady_state: bool = True,
     ) -> tuple[FSModelResult, str]:
         """The analysis, and why the steady-state runner did or did not
         run: ``"off"``, ``"prefix"`` or :func:`steady_state_runner`'s
-        reason."""
+        reason.  ``gen`` is the generator :meth:`fs_proof` built for this
+        analysis, if any."""
         t0 = time.perf_counter()
-        gen = self._generator(nest, num_threads, space)
+        if gen is None:
+            gen = OwnershipListGenerator(
+                nest,
+                num_threads,
+                line_size=self.machine.line_size,
+                space=space,
+                block_steps=self.block_steps,
+            )
         ispace: IterationSpace = gen.iteration_space
 
         steps_per_run = ispace.steps_per_chunk_run

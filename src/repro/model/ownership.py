@@ -89,6 +89,27 @@ class OwnershipListGenerator:
     def iteration_space(self) -> IterationSpace:
         return self.enum.space
 
+    def address_extremes(self) -> list[tuple[int, int]]:
+        """Per reference, aligned with ``refs``: the lowest and highest
+        byte address it computes anywhere in the nest.
+
+        Every loop is rectangular, so each affine address takes its
+        extremes at corners of the box of loop ranges.
+        """
+        ends = {
+            lp.var: (lp.lower.as_int(), lp.lower.as_int() + (trip - 1) * lp.step)
+            for lp, trip in zip(self.nest.loops(), self.nest.trip_counts())
+        }
+        out = []
+        for expr in self.addr_exprs:
+            lo = hi = expr.const
+            for var, k in expr.coeffs:
+                first, last = (k * x for x in ends[var])
+                lo += min(first, last)
+                hi += max(first, last)
+            out.append((lo, hi))
+        return out
+
     def addresses_for_env(self, env, length: int | None = None) -> np.ndarray:
         """``[n_steps, n_refs]`` byte addresses for one thread's env block.
 

@@ -230,28 +230,19 @@ def compute_shift_profile(
     runs_per_exec = ptrip // (T * c)
     ploop = gen.enum.parallel_loop
     line_size = gen.line_size
-    # Every loop variable's first and last value: the nest is
-    # rectangular, so each reference's address extremes are exact.
-    ends_of = {
-        lp.var: (lp.lower.as_int(), lp.lower.as_int() + (trip - 1) * lp.step)
-        for lp, trip in zip(gen.nest.loops(), gen.nest.trip_counts())
-    }
     # Per-array byte delta per chunk run: the parallel variable's value
     # advances by T·c·step, scaled by the reference's coefficient.
     deltas: dict[str, int] = {}
     # Per-array [lowest, highest] byte address its references reach.
     reach: dict[str, tuple[int, int]] = {}
-    for ref, expr in zip(gen.refs, gen.addr_exprs):
+    for ref, expr, (lo, hi) in zip(
+        gen.refs, gen.addr_exprs, gen.address_extremes()
+    ):
         a = expr.coeff(ploop.var) * ploop.step * T * c
         name = ref.array.name
         if name in deltas and deltas[name] != a:
             return None  # conflicting strides: no uniform shift
         deltas[name] = a
-        lo = hi = expr.const
-        for var, k in expr.coeffs:
-            first, last = (k * x for x in ends_of[var])
-            lo += min(first, last)
-            hi += max(first, last)
         if name in reach:
             lo, hi = min(lo, reach[name][0]), max(hi, reach[name][1])
         reach[name] = (lo, hi)

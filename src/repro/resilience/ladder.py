@@ -123,23 +123,21 @@ def _split(fs_cases: int, read_cases: int, write_cases: int) -> tuple[float, flo
     return read_cases / total, write_cases / total
 
 
-def _chunk_of(nest, num_threads, chunk) -> int:
-    """The chunk an analysis of ``nest`` at ``chunk`` runs with."""
-    if chunk is not None:
-        return chunk
+def _chunk_of(nest, num_threads) -> int:
+    """The chunk an analysis of ``nest`` runs with."""
     from repro.model.schedule import effective_chunk
 
     return effective_chunk(nest, num_threads)
 
 
-def _fs_free(nest, num_threads, chunk, fidelity) -> LadderOutcome:
+def _fs_free(nest, num_threads, fidelity) -> LadderOutcome:
     """The outcome of an analysis the model proved free of FS: what the
     walk would report, 0 cases (see ``FalseSharingModel.fs_proof``)."""
     read_f, write_f = _split(0, 0, 0)
     return LadderOutcome(
         nest_name=nest.name,
         num_threads=num_threads,
-        chunk=_chunk_of(nest, num_threads, chunk),
+        chunk=_chunk_of(nest, num_threads),
         fidelity=fidelity,
         requested=fidelity,
         fs_cases=0.0,
@@ -148,13 +146,11 @@ def _fs_free(nest, num_threads, chunk, fidelity) -> LadderOutcome:
     )
 
 
-def _try_exact(model, nest, num_threads, chunk, budget, proofs) -> LadderOutcome:
-    proofs.append(
-        model.fs_proof(nest, num_threads, chunk=chunk, budget=budget)
-    )
+def _try_exact(model, nest, num_threads, budget, proofs) -> LadderOutcome:
+    proofs.append(model.fs_proof(nest, num_threads, budget=budget))
     if proofs[-1] == "disjoint":
-        return _fs_free(nest, num_threads, chunk, "exact")
-    result = model.analyze(nest, num_threads, chunk=chunk, budget=budget)
+        return _fs_free(nest, num_threads, "exact")
+    result = model.analyze(nest, num_threads, budget=budget)
     read_f, write_f = _split(
         result.fs_cases, result.fs_read_cases, result.fs_write_cases
     )
@@ -187,7 +183,7 @@ def _fit_runs(estimate: CostEstimate, budget: Budget | None, requested: int) -> 
 
 
 def _try_regression(
-    model, nest, num_threads, chunk, budget, predictor_runs, method, proofs
+    model, nest, num_threads, budget, predictor_runs, method, proofs
 ) -> tuple[LadderOutcome | None, str | None]:
     """Attempt the regression level; (outcome, None) on success,
     (None, reason) when it cannot fit the budget.
@@ -197,7 +193,7 @@ def _try_regression(
     fit are skipped."""
     from repro.model.regression import FalseSharingPredictor
 
-    estimate = estimate_cost(nest, num_threads, model.machine, chunk=chunk)
+    estimate = estimate_cost(nest, num_threads, model.machine)
     runs = _fit_runs(estimate, budget, predictor_runs)
     if runs <= 0:
         return None, (
@@ -213,13 +209,12 @@ def _try_regression(
     try:
         proofs.append(
             model.fs_proof(
-                nest, num_threads, chunk=chunk, max_chunk_runs=runs,
-                budget=budget,
+                nest, num_threads, max_chunk_runs=runs, budget=budget
             )
         )
         if proofs[-1] == "disjoint":
-            return _fs_free(nest, num_threads, chunk, "regression"), None
-        pred = predictor.predict(nest, num_threads, chunk=chunk, budget=budget)
+            return _fs_free(nest, num_threads, "regression"), None
+        pred = predictor.predict(nest, num_threads, budget=budget)
     except BudgetExceededError as exc:
         return None, exc.message
     prefix = pred.prefix_result
@@ -242,7 +237,7 @@ def _try_regression(
     )
 
 
-def _analytic_bound(machine, nest, num_threads, chunk) -> LadderOutcome:
+def _analytic_bound(machine, nest, num_threads) -> LadderOutcome:
     """The always-affordable level: ``fs_cases ≤ accesses × (T − 1)``.
 
     Each modeled access touches one cache line; in the detector's
@@ -251,11 +246,11 @@ def _analytic_bound(machine, nest, num_threads, chunk) -> LadderOutcome:
     bound is computed from trip-count arithmetic only — no iteration is
     ever enumerated, so it cannot exceed any budget.
     """
-    estimate = estimate_cost(nest, num_threads, machine, chunk=chunk)
+    estimate = estimate_cost(nest, num_threads, machine)
     return LadderOutcome(
         nest_name=nest.name,
         num_threads=num_threads,
-        chunk=_chunk_of(nest, num_threads, chunk),
+        chunk=_chunk_of(nest, num_threads),
         fidelity="analytic",
         requested="analytic",
         fs_cases=float(estimate.accesses * max(num_threads - 1, 0)),
@@ -311,6 +306,10 @@ def analyze_with_ladder(
         from repro.model.fsmodel import FalseSharingModel
 
         model = FalseSharingModel(machine, mode=mode)
+    if chunk is not None:
+        # Every rung analyzes this one nest object, so the walk reuses
+        # the generator the proof built for it.
+        nest = nest.with_chunk(chunk)
 
     requested = prefer
     degradation: str | None = None
@@ -322,9 +321,7 @@ def analyze_with_ladder(
     ) as sp:
         if prefer == "exact":
             try:
-                outcome = _try_exact(
-                    model, nest, num_threads, chunk, budget, proofs
-                )
+                outcome = _try_exact(model, nest, num_threads, budget, proofs)
                 sp.set(fidelity=outcome.fidelity, fs_proof=proofs[-1])
                 return outcome
             except BudgetExceededError as exc:
@@ -333,8 +330,8 @@ def analyze_with_ladder(
 
         if prefer in ("exact", "regression"):
             outcome, reason = _try_regression(
-                model, nest, num_threads, chunk, budget, predictor_runs,
-                method, proofs,
+                model, nest, num_threads, budget, predictor_runs, method,
+                proofs,
             )
             if proofs:
                 sp.set(fs_proof=proofs[-1])
@@ -351,7 +348,7 @@ def analyze_with_ladder(
             )
             _record_fallback("analytic", next_reason, nest.name)
 
-        outcome = _analytic_bound(machine, nest, num_threads, chunk)
+        outcome = _analytic_bound(machine, nest, num_threads)
         sp.set(fidelity="analytic")
         if requested == "analytic":
             return outcome

@@ -290,20 +290,42 @@ class TestObservability:
 
 
 def test_walk_reuses_the_proof_generator(machine, monkeypatch):
-    """A point the proof cannot skip builds one ownership generator."""
+    """A point the proof cannot skip builds one ownership generator and
+    checks its nest once, whether or not the caller passes the chunk."""
     import repro.model.fsmodel as fsmodel
 
-    built = []
-    real = fsmodel.OwnershipListGenerator
+    built, validated = [], []
+    real_gen, real_validate = fsmodel.OwnershipListGenerator, fsmodel.validate_nest
 
-    def counting(*args, **kwargs):
+    def counting_gen(*args, **kwargs):
         built.append(args)
-        return real(*args, **kwargs)
+        return real_gen(*args, **kwargs)
 
-    monkeypatch.setattr(fsmodel, "OwnershipListGenerator", counting)
+    def counting_validate(nest):
+        validated.append(nest)
+        return real_validate(nest)
+
+    monkeypatch.setattr(fsmodel, "OwnershipListGenerator", counting_gen)
+    monkeypatch.setattr(fsmodel, "validate_nest", counting_validate)
+    nest = make_copy_nest(256)
     for use_predictor in (False, True):
         built.clear()
-        evaluate_point(
-            machine, make_copy_nest(256), 4, 1, use_predictor=use_predictor
-        )
-        assert len(built) == 1
+        validated.clear()
+        evaluate_point(machine, nest, 4, 1, use_predictor=use_predictor)
+        assert len(built) == len(validated) == 1
+    for prefer in ("exact", "regression"):
+        built.clear()
+        validated.clear()
+        analyze_with_ladder(machine, nest, 4, chunk=1, prefer=prefer)
+        assert len(built) == len(validated) == 1
+
+    model = FalseSharingModel(machine)
+    built.clear()
+    assert model.fs_proof(nest, 4, chunk=1) == "overlap"
+    assert model.analyze(nest, 4, chunk=1).fs_cases > 0
+    assert len(built) == 1
+    # Other arguments walk a generator of their own.
+    assert model.fs_proof(nest, 4, chunk=1) == "overlap"
+    assert model.analyze(nest, 4, chunk=2).chunk == 2
+    assert model.analyze(nest, 4, chunk=1).chunk == 1
+    assert len(built) == 4
