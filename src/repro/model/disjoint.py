@@ -92,9 +92,10 @@ def lines_disjoint(
     writes = gen.write_mask
     # A reference can meet a written line only if its line range over the
     # whole nest meets some written reference's; the others drop out
-    # before any interval is built.  On the benchmark sweep that is more
-    # than half of the references (every read of an array no thread
-    # writes), and it halves the proof's time (docs/PERFORMANCE.md §6).
+    # before any interval is built.  This only saves time: on the
+    # benchmark's sweep and serve points it drops exactly the reads of
+    # arrays no thread writes, over half the references, and halves the
+    # sweep's proof time (docs/PERFORMANCE.md §6).
     reach = np.array(gen.address_extremes(), dtype=np.int64) // gen.line_size
     w_reach = reach[writes]
     keep = (

@@ -251,11 +251,14 @@ class TestBenchPerfbenchQuotes:
     the change's median (optionally ``[q1, q3]``) and "N of M" pairs;
     a dotted metric is a per-layer figure of the record's traced run.
     A sentence "`workload` `metric` falls from X to Y (`BENCH_perfbench.json`
-    record `ID`" quotes the two medians.
+    record `ID`" quotes the two medians.  A table led by
+    "`BENCH_perfbench.json`, field `F` of record `ID`" quotes a record's
+    in-process measurements.
     """
 
     _DOCS = ("README.md", "docs/PERFORMANCE.md")
     _CITE = r"`BENCH_perfbench\.json`\s+record\s+`([\w-]+)`"
+    _FIELD = r"`BENCH_perfbench\.json`,\s+field\s+`(\w+)`\s+of\s+record\s+`([\w-]+)`"
 
     @staticmethod
     def _records() -> dict:
@@ -268,8 +271,10 @@ class TestBenchPerfbenchQuotes:
     def _text(doc: str) -> str:
         return (REPO / doc).read_text(encoding="utf-8")
 
-    def _tables(self, text: str):
-        for cite in re.finditer(self._CITE, text):
+    @staticmethod
+    def _tables(text: str, lead: str):
+        """(the lead's groups, rows) of each table a ``lead`` match leads."""
+        for cite in re.finditer(lead, text):
             after = text[cite.end():].split("\n\n|", 1)
             if len(after) < 2 or "\n\n" in after[0].strip("\n"):
                 continue  # the citation does not lead a table
@@ -278,7 +283,7 @@ class TestBenchPerfbenchQuotes:
                 if not line.startswith("|"):
                     break
                 rows.append([c.strip() for c in line.strip("|").split("|")])
-            yield cite.group(1), rows
+            yield cite.groups(), rows
 
     @staticmethod
     def _figures(record: dict, workload: str, metric: str) -> tuple:
@@ -298,7 +303,7 @@ class TestBenchPerfbenchQuotes:
     def test_quoted_tables_match_json(self, doc):
         records = self._records()
         checked = 0
-        for rid, rows in self._tables(self._text(doc)):
+        for (rid,), rows in self._tables(self._text(doc), self._CITE):
             record = records[rid]
             for cells in rows:
                 workload, metric = re.findall(r"`([\w.]+)`", cells[0])[:2]
@@ -331,3 +336,28 @@ class TestBenchPerfbenchQuotes:
             parent, change, _ = self._figures(records[rid], workload, metric)
             assert TestBenchModelQuotes._quotes(before, parent[0]), (doc, metric)
             assert TestBenchModelQuotes._quotes(after, change[0]), (doc, metric)
+
+    def test_quoted_field_tables_match_json(self):
+        """Each row of a field table is one of the field's ``rows``: the
+        first cell is its ``label``, and the numbers in the other cells
+        are its ``values`` in order (a ``null`` value is a dash)."""
+        records = self._records()
+        text = self._text("docs/PERFORMANCE.md")
+        checked = 0
+        for (field, rid), rows in self._tables(text, self._FIELD):
+            entries = {e["label"]: e["values"] for e in records[rid][field]["rows"]}
+            assert [cells[0] for cells in rows] == list(entries), field
+            for cells in rows:
+                quoted = [
+                    n for cell in cells[1:]
+                    for n in TestBenchModelQuotes._numbers(cell)
+                ]
+                values = [v for v in entries[cells[0]] if v is not None]
+                assert len(quoted) == len(values), (field, cells)
+                for number, value in zip(quoted, values):
+                    assert TestBenchModelQuotes._quotes(number, value), (
+                        f"{field} {cells[0]}: {number} is not "
+                        f"BENCH_perfbench.json's {value}"
+                    )
+                checked += 1
+        assert checked, "PERFORMANCE.md no longer quotes the proof's measurements"
