@@ -6,7 +6,6 @@ PP      := PYTHONPATH=src
 BENCHD  := .bench
 
 .PHONY: test test-fast lint bench-smoke bench-overhead bench-sweep \
-        bench-sweep-sharded bench-sweep-sharded-quick \
         bench-model bench-model-quick service-smoke chaos-smoke clean
 
 test:
@@ -44,31 +43,6 @@ bench-sweep:
 	$(PP) $(PY) -c "import json; \
 	  doc = json.load(open('$(BENCHD)/BENCH_engine.json')); \
 	  print('bench-sweep OK:', json.dumps(doc['summary']))"
-
-# Sharded / two-tier / incremental sweep gate (docs/ENGINE.md): the
-# same grid at --shards 1/2/4 must be byte-identical to the serial
-# uncached baseline (points AND store contents); a warm re-run must be
-# >=95% memory-tier hits with zero pool dispatches; an incremental
-# manifest re-run must recompute only the edited kernel's cells.  The
-# >=2x cold-scaling gate at 4 shards additionally applies on boxes
-# with >=4 usable cores.  Writes BENCH_shards.json.
-bench-sweep-sharded:
-	mkdir -p $(BENCHD)
-	$(PP) REPRO_CACHE_DIR=$(BENCHD)/shard-cache $(PY) benchmarks/bench_shard_sweep.py \
-	  --out $(BENCHD)/BENCH_shards.json
-	$(PP) $(PY) -c "import json; \
-	  doc = json.load(open('$(BENCHD)/BENCH_shards.json')); \
-	  print('bench-sweep-sharded OK:', json.dumps(doc['summary']))"
-
-# CI-sized variant: small grid, invariants only (no scaling gate).
-bench-sweep-sharded-quick:
-	mkdir -p $(BENCHD)
-	$(PP) REPRO_CACHE_DIR=$(BENCHD)/shard-cache $(PY) benchmarks/bench_shard_sweep.py \
-	  --quick --out $(BENCHD)/BENCH_shards.json
-	$(PP) $(PY) -c "import json; \
-	  doc = json.load(open('$(BENCHD)/BENCH_shards.json')); \
-	  assert doc['summary']['ok'], doc['failures']; \
-	  print('bench-sweep-sharded-quick OK:', json.dumps(doc['summary']))"
 
 # FS detector benchmark (docs/PERFORMANCE.md): the default model (fast
 # detector + exact steady-state early exit) vs the scalar reference.

@@ -1,8 +1,11 @@
 """End-to-end smoke of the analysis service daemon (``make service-smoke``).
 
-Boots a real ``repro-fs serve`` **subprocess**, then walks the whole
-operational contract the docs promise:
+Boots a real ``repro-fs serve`` **subprocess** with no
+``--journal-dir``, then walks the whole operational contract the docs
+promise:
 
+0. the daemon journals by default: a segment exists under
+   ``$REPRO_CACHE_DIR/journal`` once it is ready;
 1. submit a small heat-kernel sweep over HTTP and stream its NDJSON
    results live (cells must carry fidelity tags; the terminal row is a
    summary);
@@ -54,7 +57,6 @@ def main(argv: list[str] | None = None) -> int:
         [sys.executable, "-m", "repro", "serve",
          "--host", "127.0.0.1", "--port", str(args.port),
          "--workers", "2", "--concurrency", "1",
-         "--state-file", str(workdir / "queue-state.json"),
          "--store-dir", str(workdir / "store")],
         env=env,
     )
@@ -65,6 +67,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         health = client.wait_ready(timeout_s=30)
         assert health["status"] == "ready", health
+
+        # 0. journaled without a flag
+        journal_dir = Path(env["REPRO_CACHE_DIR"]) / "journal"
+        segments = sorted(journal_dir.glob("journal-*.ndjson"))
+        assert segments, f"no journal segment under {journal_dir}"
+        verdict["journal_segments"] = len(segments)
 
         source = _heat_source()
         grid = {"threads": [2, 4], "chunks": [1, 4]}

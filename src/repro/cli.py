@@ -33,20 +33,18 @@ Subcommands
 ``doctor``
     Self-check the resilience machinery (error taxonomy, budget
     guards, degradation ladder, fault injection, store corruption
-    tolerance) and the service plumbing (socket bind, tenants parsing,
-    store writability, queue-state round-trip); exit 0 iff every check
-    passes.
+    tolerance), the service plumbing (socket bind, tenants parsing,
+    store writability) and the journal's crash recovery; exit 0 iff
+    every check passes.
 
 Every analysis subcommand also accepts ``--profile TRACE.json`` /
 ``--metrics-out METRICS.json`` (or the ``REPRO_TRACE`` /
 ``REPRO_METRICS`` environment variables) — see docs/OBSERVABILITY.md —
 plus the batch-engine flags ``--jobs N`` (worker processes; sweep and
 experiments fan out, and ``--jobs N`` output is byte-identical to
-``--jobs 1``), ``--shards N`` (partition the batch across N
-independent pools — ``--jobs`` becomes workers *per shard*),
-``--mem-cache-mb MB`` (in-memory result tier in front of the store;
-0 disables) and ``--no-cache`` (skip both cache tiers).  ``sweep``
-additionally takes ``--since-manifest [MANIFEST.json]`` for
+``--jobs 1``), ``--mem-cache-mb MB`` (in-memory result tier in front
+of the store; 0 disables) and ``--no-cache`` (skip both cache tiers).
+``sweep`` additionally takes ``--since-manifest [MANIFEST.json]`` for
 incremental re-analysis: only kernels whose nest digests moved since
 the recorded manifest are recomputed — see docs/ENGINE.md.
 
@@ -125,12 +123,7 @@ def _model_kwargs(args: argparse.Namespace) -> dict:
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                    help="worker processes for batch evaluation (default 1 "
-                        "= serial; per shard when --shards > 1; results "
-                        "are identical either way)")
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="partition the batch by job key across N "
-                        "independent worker pools (default 1; results "
-                        "are byte-identical for any shard count)")
+                        "= serial; results are identical either way)")
     p.add_argument("--mem-cache-mb", type=int, default=64, metavar="MB",
                    help="in-memory result-cache budget in MiB, consulted "
                         "before the disk store (0 disables; default 64)")
@@ -192,14 +185,12 @@ def _print_failures(policy: FailurePolicy) -> None:
 
 
 def _engine_from(args: argparse.Namespace):
-    """Build the engine the ``--jobs/--shards/--mem-cache-mb`` flags ask
-    for (a plain :class:`repro.engine.Engine`, or a
-    :class:`repro.engine.ShardedEngine` when ``--shards > 1``)."""
+    """Build the :class:`repro.engine.Engine` the
+    ``--jobs/--mem-cache-mb/--no-cache`` flags ask for."""
     from repro.engine import make_engine
 
     return make_engine(
         jobs=getattr(args, "jobs", 1),
-        shards=getattr(args, "shards", 1),
         use_cache=not getattr(args, "no_cache", False),
         mem_cache_mb=getattr(args, "mem_cache_mb", 64),
     )
@@ -493,12 +484,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        shards=args.shards,
         mem_cache_mb=args.mem_cache_mb,
         concurrency=args.concurrency,
         batch_cells=args.batch_cells,
         tenants_file=args.tenants_file,
-        state_file=args.state_file,
         store_dir=args.store_dir,
         use_cache=not args.no_cache,
         timeout_s=args.timeout,
@@ -638,10 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port; 0 picks an ephemeral one (default 8377)")
     p.add_argument("--workers", type=int, default=2,
                    help="engine worker processes for sweep cells "
-                        "(default 2; per shard when --shards > 1)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="partition sweep batches by job key across N "
-                        "independent worker pools (default 1)")
+                        "(default 2)")
     p.add_argument("--mem-cache-mb", type=int, default=64, metavar="MB",
                    help="shared in-memory result tier in MiB — the "
                         "cross-tenant warm cache (0 disables; default 64)")
@@ -653,9 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenants-file", default=None,
                    help="tenants JSON (API keys + quotas); omit for a "
                         "single key-less public tenant")
-    p.add_argument("--state-file", default=None,
-                   help="queue-state file: SIGTERM persists unfinished "
-                        "jobs here, the next boot restores them")
     p.add_argument("--store-dir", default=None,
                    help="result-store root (default $REPRO_CACHE_DIR "
                         "or ~/.cache/repro)")
@@ -664,11 +647,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-cell wall-clock timeout in the engine pool")
     p.add_argument("--journal-dir", default=None,
-                   help="write-ahead journal directory: admissions, "
-                        "result rows and terminal states become "
-                        "crash-durable (fsync'd before publication) and "
-                        "the next boot resumes mid-sweep — survives "
-                        "SIGKILL, unlike --state-file")
+                   help="write-ahead journal directory (default "
+                        "$REPRO_CACHE_DIR/journal or "
+                        "~/.cache/repro/journal): admissions, result rows "
+                        "and terminal states are fsync'd before "
+                        "publication and the next boot resumes mid-sweep "
+                        "— survives SIGKILL; one daemon per directory")
     p.add_argument("--quarantine-after", type=int, default=3,
                    metavar="N",
                    help="quarantine a job (REPRO-E105) after it crashes "

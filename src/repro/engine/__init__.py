@@ -19,10 +19,8 @@ Scaling layers on top of the core engine:
 
 * :mod:`repro.engine.memcache` — an in-memory LRU tier in front of the
   store (two-tier cache; ``--mem-cache-mb``);
-* :mod:`repro.engine.shards` — :class:`~repro.engine.shards.ShardedEngine`
-  partitions a batch across N independent pools by job key
-  (``--shards``); :func:`~repro.engine.shards.make_engine` builds the
-  right engine from the CLI flags;
+* :func:`~repro.engine.scheduler.make_engine` — the one factory that
+  turns the CLI flags into an :class:`Engine` over one worker pool;
 * :mod:`repro.engine.incremental` — source-digest manifests for
   ``--since-manifest`` plus the :class:`~repro.engine.incremental.ReuseReport`
   ``reuse`` block embedded in sweep/experiment summaries.
@@ -30,7 +28,7 @@ Scaling layers on top of the core engine:
 Consumers wired through the engine: ``WhatIfSweep.sweep``,
 ``ExperimentSuite.run_all``, ``repro.analysis.sensitivity.sensitivity``
 and the ``repro sweep`` / ``repro experiments`` CLI commands (flags
-``--jobs N`` / ``--shards N`` / ``--mem-cache-mb`` / ``--no-cache``;
+``--jobs N`` / ``--mem-cache-mb`` / ``--no-cache``;
 maintenance via ``repro cache {stats,clear}``).  See ``docs/ENGINE.md``.
 """
 
@@ -63,8 +61,7 @@ from repro.engine.memcache import (
     shared_memcache,
 )
 from repro.engine.pool import JobOutcome, WorkerPool, cancelled_outcome
-from repro.engine.scheduler import Engine, default_jobs
-from repro.engine.shards import ShardedEngine, make_engine, shard_of
+from repro.engine.scheduler import Engine, default_jobs, make_engine
 from repro.engine.store import (
     STORE_SCHEMA_VERSION,
     ResultStore,
@@ -89,6 +86,7 @@ __all__ = [
     "WorkerPool",
     "Engine",
     "default_jobs",
+    "make_engine",
     "MANIFEST_SCHEMA_VERSION",
     "Manifest",
     "ReuseReport",
@@ -98,9 +96,6 @@ __all__ = [
     "MemCache",
     "MemCacheStats",
     "shared_memcache",
-    "ShardedEngine",
-    "make_engine",
-    "shard_of",
     "STORE_SCHEMA_VERSION",
     "ResultStore",
     "StoreStats",

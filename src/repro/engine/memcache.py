@@ -31,7 +31,7 @@ gauges, all in the process registry (and therefore on the service's
 
 :func:`shared_memcache` returns the process-wide instance used by the
 service and by ``repro-fs cache stats|clear --tier mem`` — one memory
-tier per process, shared across every engine/shard that opts in.
+tier per process, shared across every engine that opts in.
 """
 
 from __future__ import annotations
@@ -263,8 +263,8 @@ def shared_memcache(
 
     Later calls return the same instance regardless of arguments — the
     first caller (the service daemon, usually) fixes the bounds.  This
-    is the shared read path: every engine/shard pointing here serves
-    any tenant's warm cell without a disk deserialize.
+    is the shared read path: every engine pointing here serves any
+    tenant's warm cell without a disk deserialize.
     """
     global _shared
     with _shared_lock:

@@ -25,7 +25,6 @@ no subprocess spin-up) with identical outcome semantics — that is the
 
 from __future__ import annotations
 
-import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -151,12 +150,6 @@ class WorkerPool:
     backoff_s:
         Linear backoff unit: attempt ``k`` sleeps ``k * backoff_s``
         before resubmission.
-    inline:
-        Whether ``workers <= 1`` may execute in the calling process
-        (the default, and the deterministic reference path).  A sharded
-        engine sets ``inline=False`` so even a one-worker shard runs in
-        a real subprocess — N single-worker shards then occupy N cores
-        instead of contending for the caller's GIL.
     """
 
     def __init__(
@@ -165,7 +158,6 @@ class WorkerPool:
         timeout_s: float | None = None,
         retries: int = 2,
         backoff_s: float = 0.05,
-        inline: bool = True,
     ) -> None:
         if retries < 0:
             raise ValueError("retries must be >= 0")
@@ -175,7 +167,6 @@ class WorkerPool:
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
-        self.inline = inline
         self._closing = threading.Event()
         reg = get_registry()
         self._retries_total = reg.counter(
@@ -197,7 +188,7 @@ class WorkerPool:
         """Whether a drain has been requested (``close`` called)."""
         return self._closing.is_set()
 
-    def close(self, drain: bool = True) -> None:
+    def close(self) -> None:
         """Stop starting new jobs; finish what is already running.
 
         Safe to call from any thread (including a signal handler) while
@@ -205,40 +196,13 @@ class WorkerPool:
         their real outcomes, while jobs still waiting in the submission
         queue finish immediately as structured ``REPRO-E104``
         cancellations — no traceback, no lost results.  Idempotent.
-
-        ``drain=False`` reserves space for a future hard-kill path; for
-        now both modes let in-flight work finish (terminating workers
-        mid-job would discard results for no latency win on the short
-        cell jobs the pool runs).
         """
-        del drain  # both modes drain; see docstring
         self._closing.set()
 
     def reopen(self) -> None:
         """Clear a previous :meth:`close` so the pool accepts work again
         (used by tests and by services that survive a cancelled batch)."""
         self._closing.clear()
-
-    def handle_signals(
-        self, signums: Sequence[int] = (signal.SIGTERM, signal.SIGINT)
-    ) -> None:
-        """Install handlers that drain this pool on ``signums``.
-
-        The previous handler is chained after the drain flag is set, so
-        stacking with an outer service's own shutdown logic works.  Only
-        callable from the main thread (a Python signal restriction).
-        """
-        for signum in signums:
-            previous = signal.getsignal(signum)
-
-            def _drain(sig, frame, _previous=previous):
-                self.close(drain=True)
-                if callable(_previous) and _previous not in (
-                    signal.SIG_IGN, signal.SIG_DFL
-                ):
-                    _previous(sig, frame)
-
-            signal.signal(signum, _drain)
 
     # -- public -------------------------------------------------------------
 
@@ -265,7 +229,7 @@ class WorkerPool:
                 for outcome in outcomes:
                     on_outcome(outcome)
             return outcomes
-        if self.workers <= 1 and self.inline:
+        if self.workers <= 1:
             return self._run_inline(jobs, on_outcome)
         return self._run_pool(jobs, on_outcome)
 

@@ -35,7 +35,7 @@ import time
 from typing import Callable, Sequence
 
 from repro.engine.job import Job
-from repro.engine.memcache import MemCache
+from repro.engine.memcache import DEFAULT_MEM_CACHE_MB, MemCache
 from repro.engine.pool import JobOutcome, WorkerPool, cancelled_outcome
 from repro.resilience.errors import JobCancelledError
 from repro.engine.store import ResultStore
@@ -43,7 +43,7 @@ from repro.obs import get_registry, span
 from repro.resilience.errors import StoreError
 from repro.util import get_logger
 
-__all__ = ["Engine", "default_jobs"]
+__all__ = ["Engine", "default_jobs", "make_engine"]
 
 logger = get_logger(__name__)
 
@@ -73,9 +73,6 @@ class Engine:
         (default) keeps the historical single-tier behaviour.
     timeout_s / retries:
         Per-job failure budget, forwarded to :class:`WorkerPool`.
-    inline:
-        Forwarded to :class:`WorkerPool` — set ``False`` to force even
-        a one-worker pool into a subprocess (the sharded engine does).
     """
 
     def __init__(
@@ -87,7 +84,6 @@ class Engine:
         timeout_s: float | None = None,
         retries: int = 2,
         backoff_s: float = 0.05,
-        inline: bool = True,
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.use_cache = use_cache
@@ -97,7 +93,7 @@ class Engine:
         self.mem_cache = mem_cache if use_cache else None
         self.pool = WorkerPool(
             workers=self.jobs, timeout_s=timeout_s, retries=retries,
-            backoff_s=backoff_s, inline=inline,
+            backoff_s=backoff_s,
         )
         reg = get_registry()
         self._jobs_total = reg.counter(
@@ -277,14 +273,14 @@ class Engine:
         assert all(o is not None for o in outcomes)
         return outcomes  # type: ignore[return-value]
 
-    def close(self, drain: bool = True) -> None:
+    def close(self) -> None:
         """Drain the worker pool: finish in-flight jobs, cancel pending.
 
         The shutdown half of the service's SIGTERM contract; see
         :meth:`repro.engine.pool.WorkerPool.close`.  Idempotent, safe
         from any thread.
         """
-        self.pool.close(drain=drain)
+        self.pool.close()
 
     def run_strict(self, jobs: Sequence[Job]) -> list[dict]:
         """Like :meth:`run` but unwraps results, raising on any failure."""
@@ -295,3 +291,36 @@ class Engine:
             f"Engine(jobs={self.jobs}, use_cache={self.use_cache}, "
             f"store={self.store!r})"
         )
+
+
+def make_engine(
+    jobs: int = 1,
+    use_cache: bool = True,
+    store: ResultStore | None = None,
+    mem_cache: MemCache | None = None,
+    mem_cache_mb: int = DEFAULT_MEM_CACHE_MB,
+    timeout_s: float | None = None,
+    retries: int = 2,
+    backoff_s: float = 0.05,
+) -> Engine:
+    """Build the engine the ``--jobs/--mem-cache-mb/--no-cache`` flags
+    ask for: one :class:`Engine` over a ``jobs``-worker pool.
+
+    ``mem_cache_mb > 0`` (default 64) puts a fresh
+    :class:`~repro.engine.memcache.MemCache` of that byte budget in
+    front of the store; ``0`` disables the memory tier.  Pass an
+    explicit ``mem_cache`` (e.g.
+    :func:`~repro.engine.memcache.shared_memcache`) to share a tier
+    across engines — the service does.
+    """
+    if mem_cache is None and use_cache and mem_cache_mb and mem_cache_mb > 0:
+        mem_cache = MemCache(max_bytes=int(mem_cache_mb) * 2**20)
+    return Engine(
+        jobs=jobs,
+        use_cache=use_cache,
+        store=store,
+        mem_cache=mem_cache,
+        timeout_s=timeout_s,
+        retries=retries,
+        backoff_s=backoff_s,
+    )

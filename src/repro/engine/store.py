@@ -149,9 +149,9 @@ class ResultStore:
     def _entries(self) -> Iterator[Path]:
         if not self.base.is_dir():
             return
-        for shard in sorted(self.base.iterdir()):
-            if shard.is_dir():
-                yield from sorted(shard.glob("*.json"))
+        for prefix in sorted(self.base.iterdir()):
+            if prefix.is_dir():
+                yield from sorted(prefix.glob("*.json"))
 
     # -- read/write ---------------------------------------------------------
 
@@ -206,8 +206,8 @@ class ResultStore:
         """Persist ``result`` under ``key`` atomically.
 
         Tolerates a concurrent writer racing the atomic rename (and a
-        concurrent ``clear()`` removing the shard directory between the
-        ``mkdir`` and the ``mkstemp``): the write is retried once with
+        concurrent ``clear()`` removing the key-prefix directory between
+        the ``mkdir`` and the ``mkstemp``): the write is retried once with
         the parent re-created; only a persistent I/O failure raises
         :class:`~repro.resilience.errors.StoreError` (``REPRO-E301``).
         Losing the race is fine — entries are content-addressed, so
@@ -251,7 +251,7 @@ class ResultStore:
                 break
             except OSError as exc:
                 # Another writer (or a concurrent clear/prune) may have
-                # removed the shard directory out from under us.
+                # removed the key-prefix directory out from under us.
                 last_error = exc
                 logger.debug(
                     "cache write attempt %d for %s failed (%s); retrying",

@@ -225,14 +225,12 @@ def _check_partial() -> str:
 
 def _check_service() -> str:
     """Service plumbing: socket bind, tenants parsing, store
-    writability, queue-state persistence round-trip."""
+    writability.  The journal's round trip is ``crash-recovery``'s."""
     import json
     import socket
     from pathlib import Path
 
-    from repro.engine import Engine
     from repro.engine.store import ResultStore
-    from repro.service.queue import JobQueue, JobRequest
     from repro.service.tenants import TenantRegistry
 
     # 1. a TCP socket is bindable (ephemeral port, immediately released)
@@ -267,21 +265,7 @@ def _check_service() -> str:
         store.put("cd" * 32, {"value": 1}, kind="doctor")
         if store.get("cd" * 32) is None:
             raise AssertionError("service store round-trip failed")
-
-        # 4. queue-state persistence round-trips one queued job
-        state_path = Path(root) / "queue-state.json"
-        engine = Engine(jobs=1, store=store)
-        queue = JobQueue(registry, engine, concurrency=1,
-                         state_path=state_path)
-        tenant = registry.authenticate("sk-doctor")
-        queue.submit(tenant, JobRequest(source=_SERVICE_KERNEL,
-                                        threads=(2,), chunks=(1,)))
-        queue.save_state()
-        restored_queue = JobQueue(registry, Engine(jobs=1, store=store),
-                                  concurrency=1, state_path=state_path)
-        if restored_queue.load_state() != 1:
-            raise AssertionError("queue state did not restore the job")
-    return "port bindable; tenants parse; store writable; state round-trips"
+    return "port bindable; tenants parse; store writable"
 
 
 _SERVICE_KERNEL = """
@@ -339,6 +323,7 @@ def _check_crash_recovery() -> str:
         #    terminally with REPRO-E105 and the queue survives
         registry = TenantRegistry.default()
         queue = JobQueue(registry, Engine(jobs=1, use_cache=False),
+                         Journal(Path(root) / "wal", fsync=False),
                          concurrency=1, quarantine_after=2)
         tenant = next(iter(registry.tenants.values()))
         job = ServiceJob(tenant.name,
@@ -356,6 +341,7 @@ def _check_crash_recovery() -> str:
             )
         if queue._maybe_quarantine(job) is not True:
             raise AssertionError("quarantine is not idempotent")
+        queue.journal.close()
     return ("journal round-trips, tolerates torn tails, replays "
             "idempotently; poison jobs quarantine as REPRO-E105")
 

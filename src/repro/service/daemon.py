@@ -5,12 +5,13 @@
 1. load tenants (``--tenants-file`` or the key-less ``public`` default),
 2. build the shared :class:`~repro.engine.Engine` (one result store →
    cross-tenant warm cache),
-3. recover durable state — with ``--journal-dir``, replay the
-   write-ahead journal (:meth:`JobQueue.recover`): unfinished jobs are
-   re-admitted with their already-streamed rows restored at the same
-   offsets, so a client resuming with ``?from=N`` sees every row
-   exactly once even after a SIGKILL; without a journal, fall back to
-   the legacy drain state file (:meth:`JobQueue.load_state`),
+3. recover durable state — take the journal directory's writer lock
+   (``--journal-dir``, default ``$REPRO_CACHE_DIR/journal``; a second
+   daemon on a held directory exits 2 with ``REPRO-U001``) and replay
+   the write-ahead journal (:meth:`JobQueue.recover`): unfinished jobs
+   are re-admitted with their already-streamed rows restored at the
+   same offsets, so a client resuming with ``?from=N`` sees every row
+   exactly once, after a drain or a SIGKILL alike,
 4. start the queue workers + supervisor (health flips ``starting →
    ready``) and the ``ThreadingHTTPServer`` (HTTP runs on a background
    thread; the main thread parks on a shutdown event).
@@ -22,15 +23,15 @@ SIGTERM or SIGINT flips the service into draining mode —
   (``REPRO-E104``) with ``Retry-After``,
 * streaming readers are released with an ``interrupted`` row,
 * in-flight sweep batches run to completion; running jobs are then
-  parked back into the queue,
-* queue state is persisted (journal when configured, else
-  ``--state-file``),
+  parked back into the queue (the journal already holds them),
+* the journal is closed and its lock released,
 * the process exits **0**.
 
 A SIGKILL (or OOM kill, or power loss) skips all of that — which is
-exactly what the journal exists for: the next boot replays it and
-resumes mid-sweep from the last durable batch.  Crashes are *supposed*
-to be survivable; ``make chaos-smoke`` proves it in a kill-9 loop.
+exactly what the journal exists for: the kernel drops the lock, and
+the next boot replays the journal and resumes mid-sweep from the last
+durable batch.  Crashes are *supposed* to be survivable; ``make
+chaos-smoke`` proves it in a kill-9 loop.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.engine import make_engine
+from repro.engine import default_cache_dir, make_engine
 from repro.service.health import HealthMonitor
 from repro.service.journal import Journal
 from repro.service.queue import JobQueue
@@ -58,29 +59,23 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8377
-    #: Engine worker processes (sweep cells run here); per shard when
-    #: ``shards > 1``.
+    #: Engine worker processes (sweep cells run here).
     workers: int = 2
-    #: Partition engine batches by job key across this many independent
-    #: worker pools (1 = the classic single-pool engine).
-    shards: int = 1
-    #: In-memory result-tier budget in MiB, shared across every
-    #: shard/tenant (0 disables the memory tier).
+    #: In-memory result-tier budget in MiB, shared across every tenant
+    #: (0 disables the memory tier).
     mem_cache_mb: int = 64
     #: Queue worker threads (jobs progressing concurrently).
     concurrency: int = 2
     batch_cells: int = 16
     tenants_file: str | None = None
-    #: Queue-state file for drain/restart round trips (legacy path;
-    #: superseded by ``journal_dir`` when both are given).
-    state_file: str | None = None
     #: Result-store override; ``None`` = the shared default cache dir.
     store_dir: str | None = None
     use_cache: bool = True
     timeout_s: float | None = None
-    #: Write-ahead journal directory.  Set → crash-durable operation:
-    #: admissions/rows/terminal states are fsync'd before publication
-    #: and replayed on boot.
+    #: Write-ahead journal directory (``None`` =
+    #: ``default_cache_dir() / "journal"``): admissions/rows/terminal
+    #: states are fsync'd before publication and replayed on boot.  One
+    #: daemon per directory.
     journal_dir: str | None = None
     #: Worker-process crashes a single job may cause before it is
     #: quarantined with ``REPRO-E105`` (0 disables).
@@ -104,8 +99,8 @@ def build_queue(config: ServeConfig) -> JobQueue:
         store = ResultStore(Path(config.store_dir))
     mem_cache = None
     if config.use_cache and config.mem_cache_mb > 0:
-        # The process-wide shared tier: every shard — and therefore
-        # every tenant's warm cells — reads the same memory LRU.
+        # The process-wide shared tier: every tenant's warm cells read
+        # the same memory LRU.
         from repro.engine import shared_memcache
 
         mem_cache = shared_memcache(
@@ -113,21 +108,18 @@ def build_queue(config: ServeConfig) -> JobQueue:
         )
     engine = make_engine(
         jobs=config.workers,
-        shards=config.shards,
         use_cache=config.use_cache,
         store=store,
         mem_cache=mem_cache,
         mem_cache_mb=config.mem_cache_mb,
         timeout_s=config.timeout_s,
     )
-    journal = Journal(config.journal_dir) if config.journal_dir else None
     return JobQueue(
         config.tenants(),
         engine,
+        Journal(config.journal_dir or default_cache_dir() / "journal"),
         concurrency=config.concurrency,
         batch_cells=config.batch_cells,
-        state_path=config.state_file,
-        journal=journal,
         health=HealthMonitor(),
         quarantine_after=config.quarantine_after,
         max_queue_depth=config.max_queue_depth,
@@ -147,25 +139,18 @@ def serve(config: ServeConfig, ready=None, stop_event=None) -> int:
     from repro.service.api import make_server
 
     queue = build_queue(config)
-    if queue.journal is not None:
-        restored = queue.recover()
-        if restored:
-            logger.info("recovered %d journaled job(s) from %s",
-                        restored, config.journal_dir)
-    else:
-        restored = queue.load_state()
-        if restored:
-            logger.info("restored %d drained job(s) from %s",
-                        restored, config.state_file)
+    restored = queue.recover()
+    if restored:
+        logger.info("recovered %d journaled job(s) from %s",
+                    restored, queue.journal.root)
     queue.start()  # health: starting → ready
     server = make_server(config.host, config.port, queue)
     host, port = server.server_address[:2]
     logger.info(
         "repro-fs service listening on %s:%d (%d tenant(s), "
-        "%d engine worker(s) in %d shard(s), %d queue worker(s)%s)",
-        host, port, len(queue.tenants), queue.engine.jobs, config.shards,
-        config.concurrency,
-        ", journaled" if queue.journal is not None else "",
+        "%d engine worker(s), %d queue worker(s), journal %s)",
+        host, port, len(queue.tenants), queue.engine.jobs,
+        config.concurrency, queue.journal.root,
     )
 
     shutdown = stop_event if stop_event is not None else threading.Event()
@@ -192,9 +177,9 @@ def serve(config: ServeConfig, ready=None, stop_event=None) -> int:
         shutdown.wait()
     finally:
         # Drain: release streaming readers, stop accepting, finish
-        # in-flight batches, persist the queue, exit clean.
+        # in-flight batches, park the rest in the journal, exit clean.
         server.draining.set()
-        queue.drain(persist=True)
+        queue.drain()
         server.shutdown()
         http_thread.join(timeout=5.0)
         server.server_close()

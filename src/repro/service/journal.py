@@ -1,9 +1,8 @@
 """Durable append-only job journal: the service's write-ahead log.
 
-The queue-state file from PR 7 only survives *graceful* drains — a
-SIGKILL, OOM kill or power loss between SIGTERM and the state write
-loses every queued job and all in-flight sweep progress.  The journal
-closes that gap with classic write-ahead-logging:
+The journal is the service's one durability path: a graceful drain, a
+SIGKILL, an OOM kill and a power loss all leave the same on-disk state,
+and the next boot resumes from it.  Classic write-ahead-logging:
 
 * every job **admission**, **batch of result rows**, **cancellation**,
   **worker-crash count** and **terminal state** is appended to an
@@ -27,6 +26,14 @@ Segments rotate by **compaction**: when the active segment outgrows
 into a fresh segment which atomically replaces the old ones — the
 journal's size is bounded by the working set, not by history.
 
+**One writer per directory.**  The first write (or compaction) takes
+an exclusive ``flock`` on ``journal.lock`` and holds it until
+:meth:`Journal.close`; the kernel drops it when the process dies, so a
+SIGKILL never leaves a stale lock.  A second writer fails with
+``REPRO-U001`` instead of re-admitting the live writer's jobs and
+compacting away the segments it still appends to.  Reading
+(:meth:`Journal.replay`) takes no lock.
+
 Record grammar (one line each, ``crc32hex json\\n``)::
 
     {"type": "admit",    "job": id, "tenant": t, "request": {...},
@@ -44,14 +51,17 @@ dying when the journal's disk misbehaves.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from repro.resilience.errors import UsageError
 from repro.resilience.faults import fault_point
 from repro.util import get_logger
 
@@ -66,6 +76,26 @@ JOURNAL_VERSION = 1
 _SEGMENT_RE = re.compile(r"^journal-(\d{8})\.ndjson$")
 
 _RECORD_TYPES = ("admit", "rows", "cancel", "crash", "terminal")
+
+#: The single-writer lock file inside a journal directory.
+_LOCK_NAME = "journal.lock"
+
+#: Journals holding their directory's lock in this process.
+_HOLDERS: weakref.WeakSet = weakref.WeakSet()
+
+
+def _drop_inherited_locks() -> None:
+    """In a forked child (an engine worker), close the inherited lock
+    files.  A flock belongs to the open file description, so a worker
+    orphaned by a SIGKILLed daemon would otherwise hold it forever;
+    closing a copy leaves the parent's lock in place."""
+    for journal in list(_HOLDERS):
+        journal._lock_fh.close()
+        journal._lock_fh = None
+    _HOLDERS.clear()
+
+
+os.register_at_fork(after_in_child=_drop_inherited_locks)
 
 
 def _frame(record: Mapping[str, Any]) -> bytes:
@@ -204,6 +234,7 @@ class Journal:
         self.max_segment_bytes = max_segment_bytes
         self.root.mkdir(parents=True, exist_ok=True)
         self._fh = None
+        self._lock_fh = None
         self._seq = self._latest_seq()
         self.last_replay = JournalStats()
 
@@ -233,8 +264,29 @@ class Journal:
 
     def _open(self):
         if self._fh is None:
+            self.lock()
             self._fh = open(self.active_path, "ab")
         return self._fh
+
+    def lock(self) -> None:
+        """Become this directory's one writer (idempotent; held until
+        :meth:`close`).  Raises ``REPRO-U001`` while another
+        :class:`Journal` — in this process or another — holds it."""
+        if self._lock_fh is not None:
+            return
+        fh = open(self.root / _LOCK_NAME, "ab")
+        try:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.close()
+            raise UsageError(
+                f"journal directory {self.root} is held by another "
+                "running daemon; give this one its own --journal-dir",
+                code="REPRO-U001",
+                context={"journal_dir": str(self.root)},
+            ) from None
+        self._lock_fh = fh
+        _HOLDERS.add(self)
 
     # -- writing -------------------------------------------------------------
 
@@ -324,6 +376,7 @@ class Journal:
         history or the complete snapshot — never neither.  Returns the
         number of live jobs carried forward.
         """
+        self.lock()
         if jobs is None:
             jobs = self.replay()
         if self._fh is not None:
@@ -416,9 +469,14 @@ class Journal:
                      "error": error})
 
     def close(self) -> None:
+        """Close the active segment and release the writer lock."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+        if self._lock_fh is not None:
+            _HOLDERS.discard(self)
+            self._lock_fh.close()
+            self._lock_fh = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Journal(root={str(self.root)!r}, seq={self._seq})"

@@ -22,18 +22,17 @@ keeps cancellation (client ``DELETE`` or SIGTERM drain) responsive —
 at most one batch of cells is in flight per job when the stop signal
 lands.
 
-Durability: when a :class:`~repro.service.journal.Journal` is
-configured, every admission / batch of rows / cancellation / crash
-count / terminal state is appended to the write-ahead journal *before*
-it becomes visible to streaming clients (journal-then-publish).  Row
-offsets are therefore stable across a crash: a SIGKILLed daemon
-restarted with the same ``--journal-dir`` re-admits unfinished jobs
-via :meth:`recover`, resumes mid-sweep from the last durable batch
-(already-completed cells are filtered out and their rows restored
-verbatim), and a client resuming its NDJSON stream with ``?from=N``
-sees every row exactly once.  A journal that cannot write degrades the
-service (health → ``degraded``, admission shed) instead of failing
-jobs.
+Durability: every admission / batch of rows / cancellation / crash
+count / terminal state is appended to the queue's write-ahead
+:class:`~repro.service.journal.Journal` *before* it becomes visible to
+streaming clients (journal-then-publish).  Row offsets are therefore stable across a
+crash: a SIGKILLed daemon restarted on the same journal directory
+re-admits unfinished jobs via :meth:`recover`, resumes mid-sweep from
+the last durable batch (already-completed cells are filtered out and
+their rows restored verbatim), and a client resuming its NDJSON stream
+with ``?from=N`` sees every row exactly once.  A journal that cannot
+write degrades the service (health → ``degraded``, admission shed)
+instead of failing jobs.
 
 Self-healing: a supervisor thread restarts dead worker threads
 (``service_worker_restarts_total``), reopens an engine pool that was
@@ -44,23 +43,19 @@ quarantined after ``quarantine_after`` crashes with a terminal
 tenants keep streaming.
 
 Drain (:meth:`JobQueue.drain`): stop admitting, let the in-flight
-batch finish, park running jobs back in the queue, persist queue state
-and join the workers.  With a journal the journal *is* the persistent
-state; without one the legacy state file (:meth:`save_state` /
-:meth:`load_state`) keeps working exactly as before.
+batch finish, park running jobs back in the queue, join the workers
+and close the journal.  The journal already holds every parked job, so
+the drain writes no separate state: the next boot's :meth:`recover`
+re-admits them.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro.engine import Engine
@@ -97,8 +92,6 @@ STATUSES = ("queued", "running", "done", "failed", "cancelled")
 #: per-tenant cell quota is even consulted.
 _MAX_AXIS = 256
 
-_QUEUE_STATE_VERSION = 1
-
 
 def _usage(message: str) -> UsageError:
     return UsageError(message, code="REPRO-U101")
@@ -109,8 +102,8 @@ class JobRequest:
     """One submitted analysis: kernel source + machine/schedule grid.
 
     The wire form (``POST /v1/jobs`` body) is :meth:`from_dict` /
-    :meth:`to_dict`; the same round trip persists queued jobs across a
-    daemon restart.
+    :meth:`to_dict`; the journal's admit record carries the same form
+    across a daemon restart.
     """
 
     source: str
@@ -426,28 +419,18 @@ class ServiceJob:
                 doc["error"] = self.error
             return doc
 
-    def persist_doc(self) -> dict:
-        """The queue-state form (enough to re-queue after a restart)."""
-        return {
-            "id": self.id,
-            "tenant": self.tenant,
-            "created_at": self.created_at,
-            "requeues": self.requeues,
-            "request": self.request.to_dict(),
-        }
-
 
 class JobQueue:
-    """Admission control + worker threads over one shared engine."""
+    """Admission control + worker threads over one shared engine and
+    one write-ahead journal."""
 
     def __init__(
         self,
         tenants: TenantRegistry,
         engine: Engine,
+        journal: Journal,
         concurrency: int = 2,
         batch_cells: int = 16,
-        state_path: str | os.PathLike | None = None,
-        journal: Journal | None = None,
         health: HealthMonitor | None = None,
         quarantine_after: int = 3,
         max_queue_depth: int = 0,
@@ -466,7 +449,6 @@ class JobQueue:
         self.engine = engine
         self.concurrency = concurrency
         self.batch_cells = batch_cells
-        self.state_path = Path(state_path) if state_path else None
         self.journal = journal
         #: 0 disables quarantine; N ≥ 1 quarantines a job after its Nth
         #: attributed worker-process crash (``REPRO-E105``).
@@ -572,15 +554,15 @@ class JobQueue:
         t.start()
         return t
 
-    def drain(self, persist: bool = True, timeout_s: float = 30.0) -> None:
+    def drain(self, timeout_s: float = 30.0) -> None:
         """Graceful shutdown: finish in-flight cells, park running jobs,
-        persist queue state, stop the workers.
+        stop the workers, close the journal.
 
         The engine pool is closed *after* the workers notice the drain,
         so the batch each worker has in flight completes with real
-        results; anything later resolves as ``REPRO-E104``.  With a
-        journal configured the journal is already the durable state, so
-        the legacy state file is not written.
+        results; anything later resolves as ``REPRO-E104``.  The parked
+        jobs are already durable in the journal, which the next boot
+        replays.
         """
         self.health.mark_draining()
         with self._cond:
@@ -594,12 +576,9 @@ class JobQueue:
                 timeout=max(0.0, deadline - time.monotonic())
             )
             self._sup_thread = None
-        self.engine.close(drain=True)
+        self.engine.close()
         self._threads = []
-        if persist and self.journal is None:
-            self.save_state()
-        if self.journal is not None:
-            self.journal.close()
+        self.journal.close()
         logger.info(
             "queue drained: %d job(s) left queued", len(self._pending)
         )
@@ -657,16 +636,11 @@ class JobQueue:
             )
         else:
             self.health.clear_degraded("worker-stalled")
-        # Single-pool Engine exposes .pool; ShardedEngine exposes .pools.
-        pools = getattr(self.engine, "pools", None)
-        if pools is None:
-            pool = getattr(self.engine, "pool", None)
-            pools = [pool] if pool is not None else []
-        for pool in pools:
-            if pool.closing and not self._draining:
-                logger.warning("supervisor reopening engine pool closed "
-                               "outside a drain")
-                pool.reopen()
+        pool = self.engine.pool
+        if pool.closing and not self._draining:
+            logger.warning("supervisor reopening engine pool closed "
+                           "outside a drain")
+            pool.reopen()
 
     def _recover_worker_job(self, worker_name: str) -> None:
         """A worker thread died; salvage the job it was executing."""
@@ -712,8 +686,6 @@ class JobQueue:
         record is still published in memory.  The first successful
         write clears the degradation.
         """
-        if self.journal is None:
-            return
         try:
             with self._journal_lock:
                 getattr(self.journal, op)(*args)
@@ -1091,14 +1063,11 @@ class JobQueue:
                    policy: FailurePolicy) -> None:
         """One engine batch.
 
-        Without a journal, rows publish per cell (lowest latency).
-        With one, rows buffer for the batch and hit the journal as a
-        single checksummed record *before* publishing — so every row a
-        client ever saw is durable and its offset survives a SIGKILL.
+        Rows buffer for the batch and hit the journal as a single
+        checksummed record *before* publishing — so every row a client
+        ever saw is durable and its offset survives a SIGKILL.
         """
         buffer: list[dict] = []
-        publish = buffer.append if self.journal is not None \
-            else job.append_row
         crashes = 0
 
         def _on_outcome(outcome) -> None:
@@ -1125,7 +1094,7 @@ class JobQueue:
                     row["cache_tier"] = outcome.cache_tier
                 if point.degradation is not None:
                     row["degradation"] = point.degradation
-                publish(row)
+                buffer.append(row)
                 with job._cond:
                     job.cells_done += 1
                     if outcome.from_cache:
@@ -1146,7 +1115,7 @@ class JobQueue:
                 report = FailureReport.from_outcome(
                     outcome, kind="service.cell", point=cell
                 )
-                publish({
+                buffer.append({
                     "type": "diagnostic",
                     **cell,
                     "code": report.code,
@@ -1178,8 +1147,7 @@ class JobQueue:
                 on_outcome=_on_outcome,
                 should_stop=job.cancel_event.is_set,
             )
-        if self.journal is not None:
-            self._publish_rows(job, buffer)
+        self._publish_rows(job, buffer)
         if crashes:
             job.crashes += crashes
             self._journal_safe("record_crashes", job.id, job.crashes)
@@ -1243,9 +1211,12 @@ class JobQueue:
         is compacted into a fresh segment so a crash loop cannot grow
         the journal without bound.  Idempotent against duplicated or
         torn journal tails (see :mod:`repro.service.journal`).
+
+        Takes the journal directory's writer lock first, so a second
+        daemon on a directory a live one holds fails here with
+        ``REPRO-U001`` before it re-admits anything.
         """
-        if self.journal is None:
-            return 0
+        self.journal.lock()
         ledgers = self.journal.replay()
         stats = self.journal.last_replay
         restored = 0
@@ -1290,91 +1261,4 @@ class JobQueue:
             f" ({stats.corrupt_records} corrupt record(s) skipped)"
             if stats.corrupt_records else "",
         )
-        return restored
-
-    # -- persistence (legacy state file, journal-less mode) ------------------
-
-    def queue_state(self) -> dict:
-        """JSON-able snapshot of every job still waiting to run."""
-        with self._cond:
-            queued = [
-                self._jobs[job_id].persist_doc()
-                for job_id in self._pending
-                if not self._jobs[job_id].terminal
-            ]
-        return {"version": _QUEUE_STATE_VERSION, "jobs": queued}
-
-    def save_state(self, path: str | os.PathLike | None = None) -> Path | None:
-        """Atomically persist :meth:`queue_state` (drain survivors)."""
-        target = Path(path) if path else self.state_path
-        if target is None:
-            return None
-        state = self.queue_state()
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=target.parent, prefix=".queue-", suffix=".json"
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, indent=1)
-        os.replace(tmp, target)
-        logger.info(
-            "queue state: %d job(s) persisted to %s",
-            len(state["jobs"]), target,
-        )
-        return target
-
-    def load_state(self, path: str | os.PathLike | None = None) -> int:
-        """Re-queue jobs persisted by an earlier drain; returns count.
-
-        Jobs whose tenant no longer exists are dropped with a warning
-        (quota identity is gone); everything else re-enters the queue in
-        its persisted order.  The consumed state file is removed so a
-        crash loop cannot double-queue.
-        """
-        target = Path(path) if path else self.state_path
-        if target is None or not target.is_file():
-            return 0
-        try:
-            state = json.loads(target.read_text(encoding="utf-8"))
-            if state.get("version") != _QUEUE_STATE_VERSION:
-                raise ValueError(f"unknown version {state.get('version')!r}")
-            docs = state["jobs"]
-        except (ValueError, KeyError, OSError) as exc:
-            logger.warning("ignoring unreadable queue state %s: %s",
-                           target, exc)
-            return 0
-        restored = 0
-        for doc in docs:
-            tenant_name = str(doc.get("tenant", ""))
-            if tenant_name not in self.tenants.tenants:
-                logger.warning(
-                    "dropping persisted job %s: tenant %r no longer exists",
-                    doc.get("id"), tenant_name,
-                )
-                continue
-            try:
-                request = JobRequest.from_dict(doc["request"])
-                cells = self._admit_grid(
-                    self.tenants.tenants[tenant_name], request
-                )
-            except (ReproError, KeyError) as exc:
-                logger.warning("dropping persisted job %s: %s",
-                               doc.get("id"), exc)
-                continue
-            job = ServiceJob(
-                tenant=tenant_name,
-                request=request,
-                cells_total=cells,
-                job_id=str(doc.get("id")) or None,
-                created_at=doc.get("created_at"),
-            )
-            job.requeues = int(doc.get("requeues", 0))
-            self._enqueue(job)
-            restored += 1
-        try:
-            target.unlink()
-        except OSError:
-            pass
-        if restored:
-            logger.info("restored %d job(s) from %s", restored, target)
         return restored

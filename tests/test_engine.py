@@ -24,8 +24,10 @@ from repro.engine import (
     Engine,
     Job,
     JobError,
+    MemCache,
     ResultStore,
     WorkerPool,
+    make_engine,
     run_job,
     stable_hash,
 )
@@ -190,6 +192,34 @@ class TestEngineCaching:
         Engine(jobs=1, store=store).run([echo_job(1)])
         assert reg.counter("engine_cache_hits_total").value == hits0 + 1
         assert reg.counter("engine_cache_misses_total").value == misses0 + 1
+
+
+class TestMakeEngine:
+    """The factory behind ``--jobs/--mem-cache-mb/--no-cache``."""
+
+    def test_builds_plain_engine(self, tmp_path):
+        engine = make_engine(jobs=2, store=ResultStore(tmp_path))
+        assert type(engine) is Engine
+        assert engine.jobs == 2 and engine.pool.workers == 2
+
+    def test_mem_cache_mb_sizes_the_memory_tier(self, tmp_path):
+        engine = make_engine(store=ResultStore(tmp_path), mem_cache_mb=8)
+        assert engine.mem_cache is not None
+        assert engine.mem_cache.max_bytes == 8 * 2**20
+
+    def test_mem_cache_mb_zero_disables_the_tier(self, tmp_path):
+        engine = make_engine(store=ResultStore(tmp_path), mem_cache_mb=0)
+        assert engine.mem_cache is None
+
+    def test_explicit_mem_cache_wins(self, tmp_path):
+        mem = MemCache(max_entries=3)
+        engine = make_engine(store=ResultStore(tmp_path), mem_cache=mem,
+                             mem_cache_mb=64)
+        assert engine.mem_cache is mem
+
+    def test_no_cache_disables_both_tiers(self):
+        engine = make_engine(use_cache=False)
+        assert engine.store is None and engine.mem_cache is None
 
 
 # ---------------------------------------------------------------------------

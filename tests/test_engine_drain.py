@@ -4,7 +4,6 @@ service's SIGTERM contract."""
 
 from __future__ import annotations
 
-import signal
 import threading
 
 import pytest
@@ -68,7 +67,7 @@ class TestProcessPoolClose:
         def watch(outcome):
             if not done.is_set():
                 done.set()
-                pool.close(drain=True)
+                pool.close()
 
         outs = pool.run([echo_job(i) for i in range(8)], watch)
         finished = [o for o in outs if o.ok]
@@ -76,20 +75,6 @@ class TestProcessPoolClose:
         assert finished, "the in-flight jobs should have completed"
         assert cancelled, "the queued tail should have been cancelled"
         assert len(finished) + len(cancelled) == 8
-
-
-class TestSignalHandlers:
-    def test_handle_signals_chains_previous(self):
-        pool = WorkerPool(workers=1)
-        hits = []
-        previous = signal.signal(signal.SIGTERM, lambda s, f: hits.append(s))
-        try:
-            pool.handle_signals(signums=(signal.SIGTERM,))
-            signal.raise_signal(signal.SIGTERM)
-            assert pool.closing
-            assert hits == [signal.SIGTERM]  # prior handler still ran
-        finally:
-            signal.signal(signal.SIGTERM, previous)
 
 
 class TestEngineShouldStop:

@@ -155,6 +155,7 @@ class TestCompaction:
         before = j.replay()
 
         carried = j.compact(before)
+        j.close()
         assert carried == 1
         assert len(j._segments()) == 1  # history replaced by snapshot
 
@@ -178,6 +179,56 @@ class TestCompaction:
         assert all(led.terminal for led in ledgers.values())
         assert len(reader._segments()) == 1
         assert reader.active_path.stat().st_size < 1024
+
+
+class TestWriterLock:
+    def test_second_writer_fails_until_the_first_closes(self, tmp_path):
+        from repro.resilience.errors import UsageError
+
+        first = Journal(tmp_path, fsync=False)
+        first.record_admit("a", "t", {}, 1, 1.0)  # the write takes the lock
+        second = Journal(tmp_path, fsync=False)
+        for write in (second.lock,
+                      lambda: second.record_admit("b", "t", {}, 1, 1.0),
+                      lambda: second.compact({})):
+            with pytest.raises(UsageError) as exc:
+                write()
+            assert exc.value.code == "REPRO-U001"
+            assert str(tmp_path) in str(exc.value)
+        # Readers take no lock.
+        assert set(second.replay()) == {"a"}
+        first.close()
+        second.record_admit("b", "t", {}, 1, 1.0)
+        second.close()
+        assert set(Journal(tmp_path, fsync=False).replay()) == {"a", "b"}
+
+    def test_forked_worker_does_not_keep_the_lock(self, tmp_path):
+        """An engine worker forked while the daemon holds the lock must
+        not hold it on after the daemon is gone."""
+        import multiprocessing
+        import time
+
+        holder = Journal(tmp_path, fsync=False)
+        holder.lock()
+        ctx = multiprocessing.get_context("fork")
+        started = ctx.Event()
+
+        def _work():
+            started.set()  # the fork hooks have run by now
+            time.sleep(30)
+
+        worker = ctx.Process(target=_work)
+        worker.start()
+        try:
+            assert started.wait(timeout=30)
+            holder.close()
+            successor = Journal(tmp_path, fsync=False)
+            successor.lock()
+            successor.close()
+        finally:
+            worker.kill()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
 
 
 # -- property tests -----------------------------------------------------------
@@ -258,6 +309,7 @@ class TestReplayProperties:
             for rec in records:
                 j.append(rec)
             j.compact(j.replay())
+            j.close()
             after = Journal(root, fsync=False).replay()
         live = {k: v for k, v in once.items() if not v.terminal}
         assert after == live

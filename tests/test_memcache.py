@@ -164,7 +164,7 @@ class TestTwoTierEngine:
 
     def test_warm_rerun_is_memory_tier(self, tmp_path):
         store = ResultStore(tmp_path)
-        engine = Engine(jobs=1, store=store, mem_cache=MemCache(), inline=True)
+        engine = Engine(jobs=1, store=store, mem_cache=MemCache())
         cold = engine.run([echo_job(i) for i in range(4)])
         assert all(not o.from_cache for o in cold)
         warm = engine.run([echo_job(i) for i in range(4)])
@@ -173,9 +173,9 @@ class TestTwoTierEngine:
 
     def test_disk_hit_promotes_into_memory(self, tmp_path):
         store = ResultStore(tmp_path)
-        Engine(jobs=1, store=store, inline=True).run([echo_job("x")])
+        Engine(jobs=1, store=store).run([echo_job("x")])
         mem = MemCache()
-        engine = Engine(jobs=1, store=store, mem_cache=mem, inline=True)
+        engine = Engine(jobs=1, store=store, mem_cache=mem)
         first = engine.run([echo_job("x")])[0]
         assert first.from_cache and first.cache_tier == "disk"
         assert mem.stats().promotions == 1
@@ -185,7 +185,7 @@ class TestTwoTierEngine:
     def test_write_through_lands_in_both_tiers(self, tmp_path):
         store = ResultStore(tmp_path)
         mem = MemCache()
-        engine = Engine(jobs=1, store=store, mem_cache=mem, inline=True)
+        engine = Engine(jobs=1, store=store, mem_cache=mem)
         key = echo_job("wt").key()
         engine.run([echo_job("wt")])
         assert key in mem

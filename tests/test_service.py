@@ -16,6 +16,7 @@ from repro.resilience.errors import QuotaExceededError, UsageError
 from repro.service import (
     JobQueue,
     JobRequest,
+    Journal,
     ServeConfig,
     ServiceClient,
     ServiceClientError,
@@ -160,17 +161,18 @@ class TestJobRequest:
 # ---------------------------------------------------------------------------
 
 
-def _queue(tenant: TenantConfig, **kwargs) -> JobQueue:
+def _queue(tenant: TenantConfig, tmp_path) -> JobQueue:
     from repro.engine import Engine
 
-    return JobQueue(TenantRegistry([tenant]), Engine(jobs=1), **kwargs)
+    return JobQueue(TenantRegistry([tenant]), Engine(jobs=1),
+                    Journal(tmp_path / "wal", fsync=False))
 
 
 class TestAdmission:
-    def test_queued_jobs_quota(self):
+    def test_queued_jobs_quota(self, tmp_path):
         tenant = TenantConfig(name="t", max_queued_jobs=1,
                               rate_per_s=1000, burst=1000)
-        queue = _queue(tenant)  # workers never started: jobs stay queued
+        queue = _queue(tenant, tmp_path)  # workers never started: jobs stay queued
         queue.submit(tenant, JobRequest(source=KERNEL, threads=(2,),
                                         chunks=(1,)))
         with pytest.raises(QuotaExceededError) as exc:
@@ -178,9 +180,9 @@ class TestAdmission:
                                             chunks=(1,)))
         assert exc.value.code == "REPRO-R101"
 
-    def test_rate_limit(self):
+    def test_rate_limit(self, tmp_path):
         tenant = TenantConfig(name="t", rate_per_s=0.001, burst=1)
-        queue = _queue(tenant)
+        queue = _queue(tenant, tmp_path)
         queue.submit(tenant, JobRequest(source=KERNEL, threads=(2,),
                                         chunks=(1,)))
         with pytest.raises(QuotaExceededError) as exc:
@@ -188,52 +190,77 @@ class TestAdmission:
                                             chunks=(1,)))
         assert exc.value.code == "REPRO-R102"
 
-    def test_cells_budget(self):
+    def test_cells_budget(self, tmp_path):
         tenant = TenantConfig(name="t", max_cells_per_job=2,
                               rate_per_s=1000, burst=1000)
-        queue = _queue(tenant)
+        queue = _queue(tenant, tmp_path)
         with pytest.raises(QuotaExceededError) as exc:
             queue.submit(tenant, JobRequest(source=KERNEL,
                                             threads=(2, 4), chunks=(1, 2)))
         assert exc.value.code == "REPRO-R103"
         assert exc.value.context["quota"] == "cells"
 
-    def test_steps_budget(self):
+    def test_steps_budget(self, tmp_path):
         tenant = TenantConfig(name="t", max_steps_per_job=1,
                               rate_per_s=1000, burst=1000)
-        queue = _queue(tenant)
+        queue = _queue(tenant, tmp_path)
         with pytest.raises(QuotaExceededError) as exc:
             queue.submit(tenant, JobRequest(source=KERNEL, threads=(2,),
                                             chunks=(1,)))
         assert exc.value.code == "REPRO-R103"
         assert exc.value.context["quota"] == "steps"
 
-    def test_parse_errors_surface_at_submit(self):
+    def test_parse_errors_surface_at_submit(self, tmp_path):
         from repro.resilience.errors import ReproError
 
         tenant = TenantConfig(name="t", rate_per_s=1000, burst=1000)
-        queue = _queue(tenant)
+        queue = _queue(tenant, tmp_path)
         with pytest.raises(ReproError) as exc:
             queue.submit(tenant, JobRequest(source="void f() { ??? }"))
         assert exc.value.code.startswith("REPRO-F")
-
-    def test_queue_state_round_trip(self, tmp_path):
-        tenant = TenantConfig(name="t", rate_per_s=1000, burst=1000)
-        state = tmp_path / "queue.json"
-        queue = _queue(tenant, state_path=state)
-        job = queue.submit(tenant, JobRequest(source=KERNEL, threads=(2,),
-                                              chunks=(1,)))
-        assert queue.save_state() == state
-        restored = _queue(tenant, state_path=state)
-        assert restored.load_state() == 1
-        clone = restored.get(job.id)
-        assert clone is not None and clone.request == job.request
-        assert not state.exists()  # consumed: no double-queue on crash loop
 
 
 # ---------------------------------------------------------------------------
 # HTTP end-to-end
 # ---------------------------------------------------------------------------
+
+
+def _boot(config: ServeConfig):
+    """Serve ``config`` on a thread; ``(client, stop, thread)`` once it
+    is ready, or re-raise whatever made the boot fail."""
+    stop = threading.Event()
+    ready = threading.Event()
+    bound: dict = {}
+    failed: list[Exception] = []
+
+    def _on_ready(server):
+        bound["port"] = server.server_address[1]
+        ready.set()
+
+    def _run():
+        try:
+            serve(config, ready=_on_ready, stop_event=stop)
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            failed.append(exc)
+            ready.set()
+
+    thread = threading.Thread(target=_run, daemon=True)
+    thread.start()
+    assert ready.wait(timeout=15), "daemon did not come up"
+    if failed:
+        thread.join(timeout=15)
+        assert not thread.is_alive()
+        raise failed[0]
+    client = ServiceClient(f"http://127.0.0.1:{bound['port']}",
+                           timeout_s=60)
+    client.wait_ready()
+    return client, stop, thread
+
+
+def _stop(stop: threading.Event, thread: threading.Thread) -> None:
+    stop.set()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "daemon did not drain"
 
 
 @pytest.fixture()
@@ -248,32 +275,11 @@ def service(tmp_path):
     ]}), encoding="utf-8")
     config = ServeConfig(
         host="127.0.0.1", port=0, workers=1, concurrency=1, batch_cells=4,
-        tenants_file=str(tenants), state_file=str(tmp_path / "state.json"),
-        store_dir=str(tmp_path / "store"),
+        tenants_file=str(tenants), store_dir=str(tmp_path / "store"),
     )
-    stop = threading.Event()
-    bound: dict = {}
-    ready = threading.Event()
-
-    def _on_ready(server):
-        bound["port"] = server.server_address[1]
-        ready.set()
-
-    thread = threading.Thread(
-        target=serve, args=(config,),
-        kwargs={"ready": _on_ready, "stop_event": stop}, daemon=True,
-    )
-    thread.start()
-    assert ready.wait(timeout=15), "daemon did not come up"
-    client = ServiceClient(
-        f"http://127.0.0.1:{bound['port']}", api_key="sk-alice",
-        timeout_s=60,
-    )
-    client.wait_ready()
-    yield client
-    stop.set()
-    thread.join(timeout=60)
-    assert not thread.is_alive(), "daemon did not drain"
+    client, stop, thread = _boot(config)
+    yield ServiceClient(client.base_url, api_key="sk-alice", timeout_s=60)
+    _stop(stop, thread)
 
 
 class TestHTTP:
@@ -382,25 +388,9 @@ class TestRateLimit429:
         config = ServeConfig(host="127.0.0.1", port=0, workers=1,
                              concurrency=1, tenants_file=str(tenants),
                              store_dir=str(tmp_path / "store"))
-        stop = threading.Event()
-        ready = threading.Event()
-        bound: dict = {}
-
-        def _on_ready(server):
-            bound["port"] = server.server_address[1]
-            ready.set()
-
-        thread = threading.Thread(
-            target=serve, args=(config,),
-            kwargs={"ready": _on_ready, "stop_event": stop}, daemon=True,
-        )
-        thread.start()
-        assert ready.wait(timeout=15)
+        anon, stop, thread = _boot(config)
         try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{bound['port']}", api_key="sk-slow"
-            )
-            client.wait_ready()
+            client = ServiceClient(anon.base_url, api_key="sk-slow")
             client.submit(KERNEL, threads=[2], chunks=[1])
             with pytest.raises(ServiceClientError) as exc:
                 client.submit(KERNEL, threads=[2], chunks=[1])
@@ -413,43 +403,23 @@ class TestRateLimit429:
                 "service_rejections_total", {"quota": "rate"}
             ) >= 1
         finally:
-            stop.set()
-            thread.join(timeout=60)
+            _stop(stop, thread)
 
 
 class TestDrain:
     def test_sigterm_style_drain_persists_queue(self, tmp_path):
-        """A stop signal parks unfinished jobs in the state file; the
-        next daemon generation restores and completes them warm."""
-        state = tmp_path / "state.json"
+        """A stop signal parks unfinished jobs in the journal — the
+        default ``$REPRO_CACHE_DIR/journal``, no flag given; the next
+        daemon generation replays it and completes them warm."""
+        from repro.engine import default_cache_dir
+
+        journal_dir = default_cache_dir() / "journal"
         config = ServeConfig(
             host="127.0.0.1", port=0, workers=1, concurrency=1,
-            batch_cells=1, state_file=str(state),
-            store_dir=str(tmp_path / "store"),
+            batch_cells=1, store_dir=str(tmp_path / "store"),
         )
 
-        def boot(cfg):
-            stop = threading.Event()
-            ready = threading.Event()
-            bound: dict = {}
-
-            def _on_ready(server):
-                bound["port"] = server.server_address[1]
-                ready.set()
-
-            thread = threading.Thread(
-                target=serve, args=(cfg,),
-                kwargs={"ready": _on_ready, "stop_event": stop},
-                daemon=True,
-            )
-            thread.start()
-            assert ready.wait(timeout=15)
-            client = ServiceClient(f"http://127.0.0.1:{bound['port']}",
-                                   timeout_s=60)
-            client.wait_ready()
-            return client, stop, thread
-
-        client, stop, thread = boot(config)
+        client, stop, thread = _boot(config)
         # A backlog the single slow-ticking worker cannot finish
         # before the drain lands.
         ids = [
@@ -457,18 +427,17 @@ class TestDrain:
                           predictor_runs=3 + i)["id"]
             for i in range(6)
         ]
-        stop.set()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
+        _stop(stop, thread)
 
-        if not state.exists():
+        if not journal_dir.exists():
             pytest.skip("queue fully drained before the signal landed")
-        persisted = json.loads(state.read_text(encoding="utf-8"))
-        assert persisted["jobs"], "drain persisted an empty queue"
-        parked = {j["id"] for j in persisted["jobs"]}
+        ledgers = Journal(journal_dir, fsync=False).replay()
+        parked = {job_id for job_id, ledger in ledgers.items()
+                  if not ledger.terminal}
+        assert parked, "drain persisted an empty queue"
         assert parked <= set(ids)
 
-        client2, stop2, thread2 = boot(config)
+        client2, stop2, thread2 = _boot(config)
         try:
             restored = {j["id"] for j in client2.jobs()}
             assert parked <= restored
@@ -476,5 +445,57 @@ class TestDrain:
                 final = client2.wait(job_id, timeout_s=90)
                 assert final["status"] == "done"
         finally:
-            stop2.set()
-            thread2.join(timeout=60)
+            _stop(stop2, thread2)
+
+
+class TestJournalLock:
+    def test_second_writer_on_a_held_journal_fails_until_drained(
+        self, tmp_path
+    ):
+        """Two daemons on one journal directory would run each other's
+        jobs twice; the second fails at boot with ``REPRO-U001`` (exit
+        2 from the CLI) and boots once the first has drained."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.engine import default_cache_dir
+
+        journal_dir = default_cache_dir() / "journal"
+        config = ServeConfig(host="127.0.0.1", port=0, workers=1,
+                             concurrency=1,
+                             store_dir=str(tmp_path / "store"))
+        client, stop, thread = _boot(config)
+        try:
+            client.wait(client.submit(KERNEL, threads=[2],
+                                      chunks=[1])["id"])
+            with pytest.raises(UsageError) as exc:
+                second = _boot(config)
+                _stop(*second[1:])  # reached only if the lock is missing
+            assert exc.value.code == "REPRO-U001"
+            assert str(journal_dir) in str(exc.value)
+            assert "--journal-dir" in str(exc.value)
+
+            # The CLI, started with no flag at all, lands on the same
+            # default directory and exits 2.
+            src = Path(__file__).resolve().parents[1] / "src"
+            env = dict(os.environ, PYTHONPATH=str(src))
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "repro", "serve",
+                     "--port", "0", "--workers", "1"],
+                    env=env, capture_output=True, text=True, timeout=60,
+                )
+            except subprocess.TimeoutExpired:
+                pytest.fail("second daemon kept serving on a held journal")
+            assert proc.returncode == 2, proc.stderr
+            assert "REPRO-U001" in proc.stderr
+        finally:
+            _stop(stop, thread)
+
+        client2, stop2, thread2 = _boot(config)
+        try:
+            assert client2.healthz()["status"] == "ready"
+        finally:
+            _stop(stop2, thread2)

@@ -121,7 +121,7 @@ class TestCrashRecoveryE2E:
 
 class TestQuarantine:
     def test_poison_job_quarantined_while_pool_serves_others(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         # Only the poison job's cell (threads=4, chunk=8 → engine label
         # "…:t4c8") crashes its worker process; bob's t2c1 cells never
@@ -131,6 +131,7 @@ class TestQuarantine:
         bob = _tenant("bob", api_key="sk-b")
         queue = JobQueue(
             TenantRegistry([alice, bob]), Engine(jobs=2, use_cache=False),
+            Journal(tmp_path / "wal", fsync=False),
             concurrency=2, quarantine_after=3,
         )
         queue.start()
@@ -161,12 +162,15 @@ class TestQuarantine:
             _wait_terminal(queue, again.id)
             assert again.status == "done"
         finally:
-            queue.drain(persist=False)
+            queue.drain()
 
-    def test_restored_poison_job_quarantined_before_execution(self):
+    def test_restored_poison_job_quarantined_before_execution(
+        self, tmp_path
+    ):
         tenant = _tenant("t")
         queue = JobQueue(TenantRegistry([tenant]),
                          Engine(jobs=1, use_cache=False),
+                         Journal(tmp_path / "wal", fsync=False),
                          concurrency=1, quarantine_after=2)
         job = queue.submit(tenant, JobRequest(source=KERNEL,
                                               threads=(2,), chunks=(1,)))
@@ -178,6 +182,7 @@ class TestQuarantine:
         rows_before = len(job.rows())
         assert queue._maybe_quarantine(job) is True
         assert len(job.rows()) == rows_before
+        queue.journal.close()
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +194,10 @@ class TestSupervisor:
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
     )
-    def test_dead_worker_thread_is_restarted(self):
+    def test_dead_worker_thread_is_restarted(self, tmp_path):
         tenant = _tenant("t")
         queue = JobQueue(TenantRegistry([tenant]), Engine(jobs=1),
+                         Journal(tmp_path / "wal", fsync=False),
                          concurrency=1, supervise_interval_s=0.05)
         before = queue._m_worker_restarts.value
         # The fault fires on the worker's first heartbeat — outside the
@@ -212,7 +218,7 @@ class TestSupervisor:
                 _wait_terminal(queue, job.id)
                 assert job.status == "done"
             finally:
-                queue.drain(persist=False)
+                queue.drain()
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +233,7 @@ class TestJournalDegradation:
         tenant = _tenant("t")
         queue = JobQueue(
             TenantRegistry([tenant]), Engine(jobs=1, use_cache=False),
-            concurrency=1, journal=Journal(tmp_path / "wal", fsync=False),
+            Journal(tmp_path / "wal", fsync=False), concurrency=1,
         )
         queue.start()
         try:
@@ -259,7 +265,7 @@ class TestJournalDegradation:
             _wait_terminal(queue, job2.id)
             assert job2.status == "done"
         finally:
-            queue.drain(persist=False)
+            queue.drain()
 
 
 # ---------------------------------------------------------------------------
