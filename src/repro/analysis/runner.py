@@ -71,9 +71,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         help="experiment scale (default full)")
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="engine worker processes (default 1 = serial)")
-    parser.add_argument("--mem-cache-mb", type=int, default=64, metavar="MB",
-                        help="in-memory result-cache budget in MiB "
-                             "(0 disables the memory tier; default 64)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result store")
     parser.add_argument("--engine", choices=ENGINES, default="fast",
@@ -101,7 +98,7 @@ def _run_with_engine(
             res = ExperimentResult.from_dict(outcome.result)
             results.append(res)
             if outcome.from_cache:
-                origin = f"cache:{outcome.cache_tier or 'disk'}"
+                origin = f"cache:{outcome.cache_tier}"
             else:
                 origin = f"{outcome.duration_s:.1f}s"
             print(f"[runner] {name:<18} {res.experiment:<10} ({origin})")
@@ -149,14 +146,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     reuse = None
     if args.jobs > 1 or not args.no_cache:
-        from repro.engine import make_engine
+        from repro.engine import Engine
         from repro.engine.incremental import ReuseReport
 
-        engine = make_engine(
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            mem_cache_mb=args.mem_cache_mb,
-        )
+        engine = Engine(jobs=args.jobs, use_cache=not args.no_cache)
         reuse = ReuseReport()
         run = lambda drivers: _run_with_engine(  # noqa: E731
             suite, drivers, engine, reuse)

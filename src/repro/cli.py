@@ -37,23 +37,29 @@ Subcommands
     store writability) and the journal's crash recovery; exit 0 iff
     every check passes.
 
-Every analysis subcommand also accepts ``--profile TRACE.json`` /
+Every analysis subcommand accepts ``--profile TRACE.json`` /
 ``--metrics-out METRICS.json`` (or the ``REPRO_TRACE`` /
-``REPRO_METRICS`` environment variables) — see docs/OBSERVABILITY.md —
-plus the batch-engine flags ``--jobs N`` (worker processes; sweep and
-experiments fan out, and ``--jobs N`` output is byte-identical to
-``--jobs 1``), ``--mem-cache-mb MB`` (in-memory result tier in front
-of the store; 0 disables) and ``--no-cache`` (skip both cache tiers).
-``sweep`` additionally takes ``--since-manifest [MANIFEST.json]`` for
-incremental re-analysis: only kernels whose nest digests moved since
-the recorded manifest are recomputed — see docs/ENGINE.md.
+``REPRO_METRICS`` environment variables) — see docs/OBSERVABILITY.md.
+Each subcommand takes only the flag groups it reads:
 
-Resilience flags (docs/RESILIENCE.md): ``--deadline SECONDS`` /
-``--max-iters N`` build a :class:`repro.resilience.Budget` for every
-analysis (sweeps degrade gracefully down the exact → regression →
-analytic ladder instead of dying); ``--keep-going`` (sweep default)
-isolates per-file and per-point failures into structured reports while
-``--fail-fast`` aborts on the first one.  Structured errors print as
+* model flags ``--mode`` / ``--engine`` / ``--no-steady-state``: every
+  analysis subcommand except ``optimize`` and ``trace`` (``experiments``
+  takes ``--engine`` / ``--no-steady-state``);
+* budget flags (docs/RESILIENCE.md) ``--deadline SECONDS`` /
+  ``--max-iters N``: ``analyze``, ``predict``, ``profile`` and
+  ``sweep``, which build a :class:`repro.resilience.Budget` for every
+  analysis (sweeps degrade gracefully down the exact → regression →
+  analytic ladder instead of dying);
+* batch flags: ``sweep`` and ``experiments`` only — ``--jobs N``
+  (worker processes; output is byte-identical to ``--jobs 1``),
+  ``--no-cache`` (skip the result store), and ``--keep-going``
+  (default; isolates per-file and per-point failures into structured
+  reports) / ``--fail-fast`` (aborts on the first one) /
+  ``--max-failure-rate``.
+
+A warm re-run, or one after editing one kernel of several, is served
+from the content-addressed result store: only cells whose nest digest
+moved are recomputed — see docs/ENGINE.md.  Structured errors print as
 one-line diagnostics with stable exit codes (2 usage, 3 frontend,
 4 model/resource, 5 engine); set ``REPRO_LOG=debug`` for the raw
 traceback.
@@ -74,18 +80,28 @@ from repro.resilience import Budget, FailurePolicy, FailureReport, ReproError
 from repro.transform import ChunkSizeOptimizer
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(
+    p: argparse.ArgumentParser,
+    *,
+    chunk: bool = True,
+    model: bool = True,
+    budget: bool = True,
+) -> None:
+    """Input, machine and observability flags, plus the groups the
+    subcommand reads: ``--chunk``, the model flags and the budget."""
     p.add_argument("file", nargs="+", metavar="FILE",
                    help="C source file(s) with OpenMP parallel loops")
     p.add_argument("--threads", "-t", type=int, default=None,
                    help="thread count to analyze (default: the pragma's "
                         "num_threads clause, else 8)")
-    p.add_argument("--chunk", "-c", type=int, default=None,
-                   help="override the schedule chunk size")
+    if chunk:
+        p.add_argument("--chunk", "-c", type=int, default=None,
+                       help="override the schedule chunk size")
     p.add_argument("--cores", type=int, default=48,
                    help="machine core count (default 48, the paper's box)")
-    p.add_argument("--mode", choices=("invalidate", "literal"),
-                   default="invalidate", help="FS counting semantics")
+    if model:
+        p.add_argument("--mode", choices=("invalidate", "literal"),
+                       default="invalidate", help="FS counting semantics")
     p.add_argument("-D", "--define", action="append", default=[],
                    metavar="NAME=VALUE",
                    help="predefine an integer macro (repeatable)")
@@ -96,9 +112,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="write the metrics registry at exit; format by "
                         "extension: .json dump, .csv table, or .prom "
                         "Prometheus text exposition")
-    _add_model_flags(p)
-    _add_engine_flags(p)
-    _add_resilience_flags(p)
+    if model:
+        _add_model_flags(p)
+    if budget:
+        _add_budget_flags(p)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -115,38 +132,26 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _model_kwargs(args: argparse.Namespace) -> dict:
     """Engine knobs shared by every model-building command."""
     return {
-        "engine": getattr(args, "detector_engine", "fast"),
-        "steady_state": not getattr(args, "no_steady_state", False),
+        "engine": args.detector_engine,
+        "steady_state": not args.no_steady_state,
     }
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+def _add_batch_flags(p: argparse.ArgumentParser) -> None:
+    """``--jobs``/``--no-cache`` and the failure policy: the flags of the
+    commands that run a batch through the engine."""
     p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                    help="worker processes for batch evaluation (default 1 "
                         "= serial; results are identical either way)")
-    p.add_argument("--mem-cache-mb", type=int, default=64, metavar="MB",
-                   help="in-memory result-cache budget in MiB, consulted "
-                        "before the disk store (0 disables; default 64)")
     p.add_argument("--no-cache", action="store_true",
-                   help="skip the result cache — both the memory tier and "
-                        "the on-disk store ($REPRO_CACHE_DIR or "
-                        "~/.cache/repro)")
-
-
-def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                   help="wall-clock budget per analysis; over-deadline "
-                        "work degrades (sweep) or aborts with REPRO-R002")
-    p.add_argument("--max-iters", type=int, default=None, metavar="N",
-                   help="cap on lockstep iterations the exact detector may "
-                        "evaluate; sweeps degrade down the "
-                        "exact→regression→analytic ladder instead of dying")
+                   help="skip the on-disk result store ($REPRO_CACHE_DIR "
+                        "or ~/.cache/repro)")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--keep-going", dest="keep_going", action="store_true",
                    default=True,
                    help="isolate per-file/per-point failures into "
-                        "structured reports and finish the batch (default "
-                        "for sweep/experiments)")
+                        "structured reports and finish the batch "
+                        "(default)")
     g.add_argument("--fail-fast", dest="keep_going", action="store_false",
                    help="abort on the first failure with its structured "
                         "error code")
@@ -157,18 +162,25 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
                         "= disabled)")
 
 
+def _add_budget_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
+                   help="wall-clock budget per analysis; over-deadline "
+                        "work degrades (sweep) or aborts with REPRO-R002")
+    p.add_argument("--max-iters", type=int, default=None, metavar="N",
+                   help="cap on lockstep iterations the exact detector may "
+                        "evaluate; sweeps degrade down the "
+                        "exact→regression→analytic ladder instead of dying")
+
+
 def _budget_from(args: argparse.Namespace) -> Budget | None:
-    deadline = getattr(args, "deadline", None)
-    max_iters = getattr(args, "max_iters", None)
-    if deadline is None and max_iters is None:
+    if args.deadline is None and args.max_iters is None:
         return None
-    return Budget(deadline_s=deadline, max_steps=max_iters)
+    return Budget(deadline_s=args.deadline, max_steps=args.max_iters)
 
 
 def _policy_from(args: argparse.Namespace) -> FailurePolicy:
     return FailurePolicy(
-        keep_going=getattr(args, "keep_going", True),
-        max_failure_rate=getattr(args, "max_failure_rate", 1.0),
+        keep_going=args.keep_going, max_failure_rate=args.max_failure_rate,
     )
 
 
@@ -185,15 +197,11 @@ def _print_failures(policy: FailurePolicy) -> None:
 
 
 def _engine_from(args: argparse.Namespace):
-    """Build the :class:`repro.engine.Engine` the
-    ``--jobs/--mem-cache-mb/--no-cache`` flags ask for."""
-    from repro.engine import make_engine
+    """Build the :class:`repro.engine.Engine` the ``--jobs/--no-cache``
+    flags ask for."""
+    from repro.engine import Engine
 
-    return make_engine(
-        jobs=getattr(args, "jobs", 1),
-        use_cache=not getattr(args, "no_cache", False),
-        mem_cache_mb=getattr(args, "mem_cache_mb", 64),
-    )
+    return Engine(jobs=args.jobs, use_cache=not args.no_cache)
 
 
 def _macros(defines: list[str]) -> dict[str, int]:
@@ -206,13 +214,11 @@ def _macros(defines: list[str]) -> dict[str, int]:
     return out
 
 
-def _load_kernel_files(
+def _load_kernels(
     args: argparse.Namespace, policy: FailurePolicy | None = None
 ):
-    """Parse every input file into ``(path, kernel)`` pairs.
+    """Parse every input file into kernels.
 
-    The path rides along so incremental consumers (``sweep
-    --since-manifest``) can key the digest manifest per source file.
     Without a ``policy`` any frontend failure propagates (strict, the
     single-file commands).  With a keep-going policy, a file that fails
     to parse becomes one isolated :class:`FailureReport` and the other
@@ -220,7 +226,7 @@ def _load_kernel_files(
     unparsable kernel produces the rest of the landscape plus a
     structured failure, not a dead run.
     """
-    pairs = []
+    kernels = []
     for path in args.file:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -228,11 +234,8 @@ def _load_kernel_files(
         except OSError as exc:
             raise SystemExit(f"{path}: {exc.strerror or exc}") from exc
         try:
-            pairs.extend(
-                (path, kernel)
-                for kernel in parse_c_source(
-                    source, extra_macros=_macros(args.define)
-                )
+            kernels.extend(
+                parse_c_source(source, extra_macros=_macros(args.define))
             )
         except ReproError as exc:
             if policy is None:
@@ -243,17 +246,10 @@ def _load_kernel_files(
                 ),
                 cause=exc,
             )
-    if not pairs and not (policy is not None and policy.failures):
+    if not kernels and not (policy is not None and policy.failures):
         names = ", ".join(args.file)
         raise SystemExit(f"{names}: no OpenMP parallel for loops found")
-    return pairs
-
-
-def _load_kernels(
-    args: argparse.Namespace, policy: FailurePolicy | None = None
-):
-    """Parse every input file into kernels (paths dropped)."""
-    return [kernel for _, kernel in _load_kernel_files(args, policy=policy)]
+    return kernels
 
 
 def _threads_for(args: argparse.Namespace, kernel) -> int:
@@ -384,7 +380,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.engine import Manifest, default_manifest_path, nest_digest
     from repro.engine.incremental import ReuseReport
     from repro.model import WhatIfSweep
 
@@ -399,28 +394,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     engine = _engine_from(args)
     budget = _budget_from(args)
     policy = _policy_from(args)
-    manifest = manifest_path = None
-    if args.since_manifest is not None:
-        manifest_path = args.since_manifest or str(default_manifest_path())
-        # A missing/corrupt manifest degrades to a full sweep (with a
-        # warning), never an error — load() cannot raise.
-        manifest = Manifest.load(manifest_path)
-        if manifest.warning:
-            print(f"warning: {manifest.warning}", file=sys.stderr)
     produced = 0
     reuse = ReuseReport()
-    for path, k in _load_kernel_files(args, policy=policy):
-        file_key = os.path.abspath(path)
-        digest = nest_digest(k.nest)
-        if manifest is not None and manifest.unchanged(
-            file_key, k.nest.name, digest
-        ):
-            cells = len(sweep.feasible_grid(k.nest, threads, chunks))
-            reuse.skip(cells)
-            produced += cells
-            print(f"kernel {k.name}: unchanged since manifest "
-                  f"({cells} cells skipped)")
-            continue
+    for k in _load_kernels(args, policy=policy):
         result = sweep.sweep(k.nest, threads=threads, chunks=chunks,
                              engine=engine, budget=budget, policy=policy)
         reuse.merge(result.reuse)
@@ -438,11 +414,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             best = result.best()
             print(f"best: {best.threads} threads, "
                   f"schedule(static,{best.chunk})")
-        if manifest is not None and not result.failures:
-            manifest.update(file_key, k.nest.name, digest)
-    if manifest is not None and produced:
-        manifest.save(manifest_path)
-        print(f"manifest -> {manifest_path}")
     if reuse.total:
         print(f"reuse: {reuse.one_line()}")
     _print_failures(policy)
@@ -484,7 +455,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        mem_cache_mb=args.mem_cache_mb,
         concurrency=args.concurrency,
         batch_cells=args.batch_cells,
         tenants_file=args.tenants_file,
@@ -499,26 +469,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.engine import ResultStore, shared_memcache
+    from repro.engine import ResultStore
 
-    store = ResultStore(args.dir) if args.dir else ResultStore()
-    tier = args.tier
+    store = ResultStore(args.dir or None)
     if args.cache_op == "stats":
-        if tier in ("disk", "all"):
-            print("[disk tier]")
-            print(store.stats().to_text())
-        if tier in ("mem", "all"):
-            if tier == "all":
-                print()
-            print("[memory tier] (this process)")
-            print(shared_memcache().stats().to_text())
-    elif args.cache_op == "clear":
-        if tier in ("disk", "all"):
-            dropped = store.clear()
-            print(f"removed {dropped:,} disk cache entries from {store.root}")
-        if tier in ("mem", "all"):
-            dropped = shared_memcache().clear()
-            print(f"removed {dropped:,} memory-tier entries (this process)")
+        print(store.stats().to_text())
+    else:
+        dropped = store.clear()
+        print(f"removed {dropped:,} cache entries from {store.root}")
     return 0
 
 
@@ -540,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("optimize", help="recommend a schedule chunk size")
-    _add_common(p)
+    _add_common(p, chunk=False, model=False, budget=False)
     p.add_argument("--runs", type=int, default=10,
                    help="chunk runs sampled per candidate (default 10)")
     p.set_defaults(func=cmd_optimize)
@@ -548,8 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiments", help="regenerate the paper's experiments")
     p.add_argument("--scale", choices=("tiny", "full"), default="tiny")
     _add_model_flags(p)
-    _add_engine_flags(p)
-    _add_resilience_flags(p)
+    _add_batch_flags(p)
     p.set_defaults(func=cmd_experiments)
 
     p = sub.add_parser(
@@ -566,20 +523,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", default=None,
                    help="cache root (default $REPRO_CACHE_DIR or "
                         "~/.cache/repro)")
-    p.add_argument("--tier", choices=("mem", "disk", "all"), default="all",
-                   help="which cache tier to inspect/clear: the "
-                        "in-process memory LRU, the on-disk store, or "
-                        "both (default all)")
     p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser(
         "diagnose", help="full FS diagnosis: victims, hot lines, thread pairs"
     )
-    _add_common(p)
+    _add_common(p, budget=False)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("trace", help="record the memory trace to a .npz file")
-    _add_common(p)
+    _add_common(p, model=False, budget=False)
     p.add_argument("--output", "-o", default=None, help="trace file path")
     p.add_argument("--max-steps", type=int, default=None,
                    help="truncate the trace after N lockstep steps")
@@ -588,7 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", help="what-if landscape over (threads x chunk)"
     )
+    # --threads and --chunk stay although sweep reads the -list forms:
+    # without them argparse would take them as abbreviations of those.
     _add_common(p)
+    _add_batch_flags(p)
     p.add_argument("--runs", type=int, default=8,
                    help="chunk runs sampled per configuration (default 8)")
     p.add_argument("--threads-list", default="2,4,8",
@@ -599,14 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="request the full exact model per point instead of "
                         "the regression predictor (degrades down the "
                         "ladder under --max-iters/--deadline)")
-    p.add_argument("--since-manifest", nargs="?", const="", default=None,
-                   metavar="MANIFEST.json",
-                   help="incremental mode: skip kernels whose nest digests "
-                        "match the manifest recorded by the previous sweep, "
-                        "then rewrite it (default path: "
-                        "$REPRO_CACHE_DIR/manifest.json); a missing or "
-                        "corrupt manifest falls back to a full sweep with "
-                        "a warning")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -628,9 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=2,
                    help="engine worker processes for sweep cells "
                         "(default 2)")
-    p.add_argument("--mem-cache-mb", type=int, default=64, metavar="MB",
-                   help="shared in-memory result tier in MiB — the "
-                        "cross-tenant warm cache (0 disables; default 64)")
     p.add_argument("--concurrency", type=int, default=2,
                    help="jobs progressing concurrently (default 2)")
     p.add_argument("--batch-cells", type=int, default=16,

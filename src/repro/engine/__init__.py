@@ -15,21 +15,19 @@ Typical use::
     sweep = WhatIfSweep(machine)
     result = sweep.sweep(nest, engine=engine)   # parallel, memoized
 
-Scaling layers on top of the core engine:
-
-* :mod:`repro.engine.memcache` — an in-memory LRU tier in front of the
-  store (two-tier cache; ``--mem-cache-mb``);
-* :func:`~repro.engine.scheduler.make_engine` — the one factory that
-  turns the CLI flags into an :class:`Engine` over one worker pool;
-* :mod:`repro.engine.incremental` — source-digest manifests for
-  ``--since-manifest`` plus the :class:`~repro.engine.incremental.ReuseReport`
-  ``reuse`` block embedded in sweep/experiment summaries.
+The store, plus the engine's in-batch dedupe, is the only way a
+result is reused.  A sweep cell's key folds in its nest's source
+digest, the machine and the schedule, so a warm re-run — or a re-run
+after editing one kernel — recomputes only the cells whose inputs
+moved.  :class:`~repro.engine.incremental.ReuseReport` is the
+``reuse`` block of sweep/experiment summaries that says where each
+cell came from.
 
 Consumers wired through the engine: ``WhatIfSweep.sweep``,
 ``ExperimentSuite.run_all``, ``repro.analysis.sensitivity.sensitivity``
 and the ``repro sweep`` / ``repro experiments`` CLI commands (flags
-``--jobs N`` / ``--mem-cache-mb`` / ``--no-cache``;
-maintenance via ``repro cache {stats,clear}``).  See ``docs/ENGINE.md``.
+``--jobs N`` / ``--no-cache``; maintenance via
+``repro cache {stats,clear}``).  See ``docs/ENGINE.md``.
 """
 
 from repro.engine.job import (
@@ -47,21 +45,9 @@ from repro.engine.keys import (
     nest_digest,
     stable_hash,
 )
-from repro.engine.incremental import (
-    MANIFEST_SCHEMA_VERSION,
-    Manifest,
-    ReuseReport,
-    default_manifest_path,
-    reuse_from_outcomes,
-)
-from repro.engine.memcache import (
-    DEFAULT_MEM_CACHE_MB,
-    MemCache,
-    MemCacheStats,
-    shared_memcache,
-)
+from repro.engine.incremental import ReuseReport, reuse_from_outcomes
 from repro.engine.pool import JobOutcome, WorkerPool, cancelled_outcome
-from repro.engine.scheduler import Engine, default_jobs, make_engine
+from repro.engine.scheduler import Engine, default_jobs
 from repro.engine.store import (
     STORE_SCHEMA_VERSION,
     ResultStore,
@@ -87,17 +73,14 @@ __all__ = [
     "Engine",
     "default_jobs",
     "make_engine",
-    "MANIFEST_SCHEMA_VERSION",
-    "Manifest",
     "ReuseReport",
-    "default_manifest_path",
     "reuse_from_outcomes",
-    "DEFAULT_MEM_CACHE_MB",
-    "MemCache",
-    "MemCacheStats",
-    "shared_memcache",
     "STORE_SCHEMA_VERSION",
     "ResultStore",
     "StoreStats",
     "default_cache_dir",
 ]
+
+#: Former factory name, kept because ``perfbench/sweep.py`` calls
+#: ``make_engine(jobs=..., store=...)``; it is :class:`Engine` itself.
+make_engine = Engine

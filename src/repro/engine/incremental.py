@@ -1,92 +1,49 @@
-"""Incremental analysis: skip nests whose source has not changed.
+"""Reuse accounting: where each cell of a sweep or experiment came from.
 
-The engine's content-addressed cache already makes *re-computation*
-cheap — but a warm 10⁶-cell sweep still pays one cache lookup per cell.
-Incremental analysis removes even that: a **manifest** records, per
-kernel source file, the :func:`~repro.engine.keys.nest_digest` of every
-loop nest analysed last time.  On the next ``repro-fs sweep
---since-manifest``, any nest whose digest is unchanged is *skipped
-outright* — zero jobs built, zero lookups — and its cells are reported
-as ``skipped_unchanged`` in the sweep's reuse block.
+The engine reuses results two ways and no others: the content-addressed
+:class:`~repro.engine.store.ResultStore` (across batches, processes and
+daemon restarts) and in-batch dedupe (one computation fanned out to
+every job with the same key).  A sweep cell's key folds in its nest's
+:func:`~repro.engine.keys.nest_digest`, so a re-run after editing one
+kernel of several recomputes only that kernel's cells; the others are
+store hits.
 
-Degradation contract: a missing, unreadable or corrupt manifest is a
-*warning*, never an error — the sweep silently falls back to analysing
-everything (exactly what a first run does) and rewrites a fresh
-manifest on completion.  Wrong skips are impossible because the digest
-covers the emitted C source of the nest: if anything that could change
-the analysis changed, the digest moves.
-
-:class:`ReuseReport` is the other half of the story: a small accumulator
-that classifies every cell of a sweep/experiment by *where its result
-came from* (memory tier, disk tier, in-batch dedupe, fresh compute,
-or skipped-unchanged) and renders the ``reuse`` block embedded in every
-summary — the "93% served from cache" line.
+:class:`ReuseReport` classifies every cell by *where its result came
+from* — fresh compute, the store (``disk``), an in-batch alias
+(``dedupe``) or a failure — and renders the ``reuse`` block embedded in
+every summary: the "93% reused" line.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.engine.pool import JobOutcome
-from repro.util import get_logger
 
-__all__ = [
-    "MANIFEST_SCHEMA_VERSION",
-    "Manifest",
-    "ReuseReport",
-    "default_manifest_path",
-    "reuse_from_outcomes",
-]
-
-logger = get_logger(__name__)
-
-#: On-disk manifest schema version; a bump invalidates (= full re-analysis).
-MANIFEST_SCHEMA_VERSION = 1
-
-
-def default_manifest_path() -> Path:
-    """``$REPRO_CACHE_DIR``-relative default for ``--since-manifest``."""
-    from repro.engine.store import default_cache_dir
-
-    return default_cache_dir() / "manifest.json"
-
-
-# ---------------------------------------------------------------------------
-# Reuse accounting
+__all__ = ["ReuseReport", "reuse_from_outcomes"]
 
 
 @dataclass
 class ReuseReport:
-    """Where a sweep's cells came from: compute vs every reuse tier.
+    """Where a sweep's cells came from: compute vs store vs dedupe.
 
     ``record`` classifies one :class:`~repro.engine.pool.JobOutcome` by
-    its ``cache_tier``; ``skipped_unchanged`` cells never become jobs at
-    all, so callers add them via :meth:`skip`.  ``to_dict`` is the
-    ``reuse`` block embedded in sweep/experiment summaries (schema
-    documented in ``docs/ENGINE.md``).
+    its ``cache_tier``.  ``to_dict`` is the ``reuse`` block embedded in
+    sweep/experiment summaries (schema documented in
+    ``docs/ENGINE.md``).
     """
 
     total: int = 0
     computed: int = 0
-    mem_hits: int = 0
     disk_hits: int = 0
     deduped: int = 0
-    skipped_unchanged: int = 0
     failed: int = 0
 
     @property
     def reused(self) -> int:
-        """Cells that did not execute: any cache tier + unchanged skips."""
-        return (
-            self.mem_hits + self.disk_hits + self.deduped
-            + self.skipped_unchanged
-        )
+        """Cells that did not execute: store hits + in-batch aliases."""
+        return self.disk_hits + self.deduped
 
     @property
     def fraction(self) -> float:
@@ -98,50 +55,37 @@ class ReuseReport:
         self.total += 1
         if not outcome.ok:
             self.failed += 1
-            return
-        if not outcome.from_cache:
+        elif not outcome.from_cache:
             self.computed += 1
-        elif outcome.cache_tier == "mem":
-            self.mem_hits += 1
         elif outcome.cache_tier == "disk":
             self.disk_hits += 1
-        else:  # "dedupe" (or legacy None from an old journal row)
+        else:  # "dedupe"
             self.deduped += 1
-
-    def skip(self, n: int = 1) -> None:
-        """Count ``n`` cells skipped outright by the incremental manifest."""
-        self.total += n
-        self.skipped_unchanged += n
 
     def merge(self, other: "ReuseReport") -> None:
         """Fold another report (e.g. one per nest) into this one."""
         self.total += other.total
         self.computed += other.computed
-        self.mem_hits += other.mem_hits
         self.disk_hits += other.disk_hits
         self.deduped += other.deduped
-        self.skipped_unchanged += other.skipped_unchanged
         self.failed += other.failed
 
     def to_dict(self) -> dict:
         return {
             "total": self.total,
             "computed": self.computed,
-            "mem_hits": self.mem_hits,
             "disk_hits": self.disk_hits,
             "deduped": self.deduped,
-            "skipped_unchanged": self.skipped_unchanged,
             "failed": self.failed,
             "reused": self.reused,
             "fraction": round(self.fraction, 4),
         }
 
     def one_line(self) -> str:
-        """Human summary: ``93% reused (mem 40 / disk 2 / skip 6) of 48``."""
+        """Human summary: ``93% reused (disk 40 / dedupe 2) of 45 cells``."""
         return (
             f"{100.0 * self.fraction:.0f}% reused "
-            f"(mem {self.mem_hits} / disk {self.disk_hits} / "
-            f"dedupe {self.deduped} / skip {self.skipped_unchanged}) "
+            f"(disk {self.disk_hits} / dedupe {self.deduped}) "
             f"of {self.total} cells"
         )
 
@@ -152,130 +96,3 @@ def reuse_from_outcomes(outcomes: Iterable[JobOutcome]) -> ReuseReport:
     for outcome in outcomes:
         report.record(outcome)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Manifest
-
-
-class Manifest:
-    """Source file → ``{nest_name: nest_digest}`` map for ``--since-manifest``.
-
-    Attributes
-    ----------
-    files:
-        The digest map.  Paths are stored as given (the CLI passes
-        resolved absolute paths, keeping one entry per physical file).
-    warning:
-        Set by :meth:`load` when the manifest was missing or corrupt —
-        the caller surfaces it and proceeds with a full sweep.
-    """
-
-    def __init__(self, files: dict[str, dict[str, str]] | None = None) -> None:
-        self.files: dict[str, dict[str, str]] = dict(files or {})
-        self.warning: str | None = None
-
-    # -- load/save ----------------------------------------------------------
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "Manifest":
-        """Read a manifest; degrade to an empty one (with ``warning``) on
-        any problem — never raise."""
-        path = Path(path)
-        manifest = cls()
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            manifest.warning = (
-                f"manifest {path} not found; running full analysis"
-            )
-            logger.warning(manifest.warning)
-            return manifest
-        except OSError as exc:
-            manifest.warning = (
-                f"manifest {path} unreadable ({exc}); running full analysis"
-            )
-            logger.warning(manifest.warning)
-            return manifest
-        try:
-            doc = json.loads(raw)
-            if (
-                not isinstance(doc, dict)
-                or doc.get("schema") != MANIFEST_SCHEMA_VERSION
-                or not isinstance(doc.get("files"), dict)
-            ):
-                raise ValueError("invalid manifest structure")
-            files: dict[str, dict[str, str]] = {}
-            for fpath, nests in doc["files"].items():
-                if not isinstance(nests, dict):
-                    raise ValueError("invalid manifest structure")
-                files[str(fpath)] = {
-                    str(name): str(digest) for name, digest in nests.items()
-                }
-        except ValueError:
-            manifest.warning = (
-                f"manifest {path} is corrupt; running full analysis"
-            )
-            logger.warning(manifest.warning)
-            return manifest
-        manifest.files = files
-        return manifest
-
-    def save(self, path: str | os.PathLike) -> None:
-        """Write atomically (same-directory temp + ``os.replace``)."""
-        path = Path(path)
-        doc = {
-            "schema": MANIFEST_SCHEMA_VERSION,
-            "written_at": time.time(),
-            "files": self.files,
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-manifest-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    # -- queries/updates ----------------------------------------------------
-
-    def unchanged(self, path: str, nest_name: str, digest: str) -> bool:
-        """Whether ``nest_name`` in ``path`` still has ``digest``."""
-        return self.files.get(str(path), {}).get(nest_name) == digest
-
-    def update(self, path: str, nest_name: str, digest: str) -> None:
-        self.files.setdefault(str(path), {})[nest_name] = digest
-
-    def replace_file(self, path: str, nests: dict[str, str]) -> None:
-        """Overwrite one file's nest→digest map wholesale."""
-        self.files[str(path)] = dict(nests)
-
-    def __len__(self) -> int:
-        return sum(len(nests) for nests in self.files.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Manifest(files={len(self.files)}, nests={len(self)})"
-
-
-@dataclass
-class IncrementalPlan:
-    """What ``--since-manifest`` decided for one sweep.
-
-    ``stale`` nests run; ``skipped`` maps nest name → cached cell count
-    (how many cells that skip saved, for the reuse report).
-    """
-
-    stale: list = field(default_factory=list)
-    skipped: dict[str, int] = field(default_factory=dict)
-    warning: str | None = None
-
-    @property
-    def skipped_cells(self) -> int:
-        return sum(self.skipped.values())

@@ -55,9 +55,9 @@ class JobOutcome:
     terminal state.
 
     ``cache_tier`` records *where* a ``from_cache`` result came from:
-    ``"mem"`` (in-memory LRU tier), ``"disk"`` (the on-disk store) or
-    ``"dedupe"`` (an intra-batch alias of a job computed in the same
-    batch); ``None`` for executed jobs.  Reuse reports
+    ``"disk"`` (the on-disk store) or ``"dedupe"`` (an intra-batch
+    alias of a job computed in the same batch); ``None`` for executed
+    jobs.  Reuse reports
     (:mod:`repro.engine.incremental`) aggregate it per sweep.
     """
 

@@ -2,14 +2,16 @@
 
 Flow of :meth:`Engine.run`::
 
-    jobs ──dedupe by key──► cache lookup ──misses──► WorkerPool ──► store.put
-                                 │ hits                                  │
-                                 └──────────────► outcomes (input order) ◄┘
+    jobs ──dedupe by key──► store.get ──misses──► WorkerPool ──► store.put
+                               │ hits                                 │
+                               └─────────────► outcomes (input order) ◄┘
 
-* Duplicate keys inside one batch are computed once and fanned out.
-* Cache hits come back as :class:`~repro.engine.pool.JobOutcome` with
-  ``from_cache=True`` and zero attempts — byte-identical payloads to
-  what the original run stored.
+* Duplicate keys inside one batch are computed once and fanned out
+  (``cache_tier="dedupe"``).
+* Store hits come back as :class:`~repro.engine.pool.JobOutcome` with
+  ``from_cache=True``, ``cache_tier="disk"`` and zero attempts —
+  byte-identical payloads to what the original run stored.  The store
+  is the only reuse across batches and processes.
 * Failures never raise from :meth:`run`; they surface per job in the
   outcome (``outcome.ok`` / ``outcome.error``), so a 200-point sweep
   with one broken configuration still yields 199 results.
@@ -17,9 +19,7 @@ Flow of :meth:`Engine.run`::
 Observability (PR-1 layer): the engine maintains
 
 * ``engine_jobs_total{status=completed|failed}`` counters,
-* ``engine_cache_hits_total`` / ``engine_cache_misses_total`` (either
-  tier; the memory tier additionally keeps its own
-  ``engine_memcache_*`` counters — see :mod:`repro.engine.memcache`),
+* ``engine_cache_hits_total`` / ``engine_cache_misses_total``,
 * ``engine_job_seconds`` histogram (per executed job),
 * ``engine_pool_utilization`` gauge — executed-job busy-time divided by
   ``workers × batch wall time`` of the last batch,
@@ -35,7 +35,6 @@ import time
 from typing import Callable, Sequence
 
 from repro.engine.job import Job
-from repro.engine.memcache import DEFAULT_MEM_CACHE_MB, MemCache
 from repro.engine.pool import JobOutcome, WorkerPool, cancelled_outcome
 from repro.resilience.errors import JobCancelledError
 from repro.engine.store import ResultStore
@@ -43,7 +42,7 @@ from repro.obs import get_registry, span
 from repro.resilience.errors import StoreError
 from repro.util import get_logger
 
-__all__ = ["Engine", "default_jobs", "make_engine"]
+__all__ = ["Engine", "default_jobs"]
 
 logger = get_logger(__name__)
 
@@ -62,15 +61,11 @@ class Engine:
         Worker process count; ``1`` (default) executes inline/serial.
     use_cache:
         Consult/populate the :class:`ResultStore`.  Disable for timing
-        runs (``--no-cache``).
+        runs (``--no-cache``): ``store`` is then ``None`` and every job
+        executes.
     store:
         Override the store (tests point this at a tmp dir); defaults to
         the shared ``$REPRO_CACHE_DIR`` location.
-    mem_cache:
-        Optional in-memory LRU tier (:class:`~repro.engine.memcache.MemCache`)
-        consulted *before* the store; disk hits are promoted into it and
-        computed results are written through to both tiers.  ``None``
-        (default) keeps the historical single-tier behaviour.
     timeout_s / retries:
         Per-job failure budget, forwarded to :class:`WorkerPool`.
     """
@@ -80,17 +75,17 @@ class Engine:
         jobs: int = 1,
         use_cache: bool = True,
         store: ResultStore | None = None,
-        mem_cache: MemCache | None = None,
         timeout_s: float | None = None,
         retries: int = 2,
         backoff_s: float = 0.05,
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.use_cache = use_cache
-        self.store = store if store is not None else (
-            ResultStore() if use_cache else None
-        )
-        self.mem_cache = mem_cache if use_cache else None
+        if not use_cache:
+            store = None
+        elif store is None:
+            store = ResultStore()
+        self.store = store
         self.pool = WorkerPool(
             workers=self.jobs, timeout_s=timeout_s, retries=retries,
             backoff_s=backoff_s,
@@ -112,28 +107,6 @@ class Engine:
             "engine_pool_utilization",
             "busy-fraction of the worker pool over the last batch",
         )
-
-    # -- cache tiers --------------------------------------------------------
-
-    def _lookup(self, key: str) -> tuple[dict | None, str | None]:
-        """Two-tier cache lookup: ``(result, tier)`` or ``(None, None)``.
-
-        Memory first (O(1), no deserialize), then disk; a disk hit is
-        promoted into the memory tier so its next lookup is free.
-        """
-        if not self.use_cache:
-            return None, None
-        if self.mem_cache is not None:
-            cached = self.mem_cache.get(key)
-            if cached is not None:
-                return cached, "mem"
-        if self.store is not None:
-            cached = self.store.get(key)
-            if cached is not None:
-                if self.mem_cache is not None:
-                    self.mem_cache.put(key, cached, promoted=True)
-                return cached, "disk"
-        return None, None
 
     # -- public -------------------------------------------------------------
 
@@ -183,12 +156,14 @@ class Engine:
                     if key in owners:
                         continue
                     owners[key] = i
-                    cached, tier = self._lookup(key)
+                    cached = (
+                        self.store.get(key) if self.store is not None else None
+                    )
                     if cached is not None:
                         self._hits.inc()
                         outcomes[i] = JobOutcome(
                             job, result=cached, attempts=0, from_cache=True,
-                            cache_tier=tier,
+                            cache_tier="disk",
                         )
                         if on_outcome is not None:
                             on_outcome(outcomes[i])
@@ -222,26 +197,20 @@ class Engine:
                     else:
                         status = "failed"
                     self._jobs_total.labels(status=status).inc()
-                    if outcome.ok and self.use_cache:
-                        key = outcome.job.key()
-                        if self.mem_cache is not None:
-                            # Write-through: a warm re-run in this
-                            # process never touches the disk tier.
-                            self.mem_cache.put(key, outcome.result)
-                        if self.store is not None:
-                            try:
-                                self.store.put(
-                                    key, outcome.result,
-                                    kind=outcome.job.kind,
-                                    label=outcome.job.label,
-                                )
-                            except StoreError as exc:
-                                # A failed cache write degrades re-run
-                                # speed, never the result in hand.
-                                logger.warning(
-                                    "cache write skipped for %s: %s",
-                                    outcome.job.describe(), exc,
-                                )
+                    if outcome.ok and self.store is not None:
+                        try:
+                            self.store.put(
+                                outcome.job.key(), outcome.result,
+                                kind=outcome.job.kind,
+                                label=outcome.job.label,
+                            )
+                        except StoreError as exc:
+                            # A failed cache write degrades re-run
+                            # speed, never the result in hand.
+                            logger.warning(
+                                "cache write skipped for %s: %s",
+                                outcome.job.describe(), exc,
+                            )
                     if on_outcome is not None:
                         on_outcome(outcome)
 
@@ -291,36 +260,3 @@ class Engine:
             f"Engine(jobs={self.jobs}, use_cache={self.use_cache}, "
             f"store={self.store!r})"
         )
-
-
-def make_engine(
-    jobs: int = 1,
-    use_cache: bool = True,
-    store: ResultStore | None = None,
-    mem_cache: MemCache | None = None,
-    mem_cache_mb: int = DEFAULT_MEM_CACHE_MB,
-    timeout_s: float | None = None,
-    retries: int = 2,
-    backoff_s: float = 0.05,
-) -> Engine:
-    """Build the engine the ``--jobs/--mem-cache-mb/--no-cache`` flags
-    ask for: one :class:`Engine` over a ``jobs``-worker pool.
-
-    ``mem_cache_mb > 0`` (default 64) puts a fresh
-    :class:`~repro.engine.memcache.MemCache` of that byte budget in
-    front of the store; ``0`` disables the memory tier.  Pass an
-    explicit ``mem_cache`` (e.g.
-    :func:`~repro.engine.memcache.shared_memcache`) to share a tier
-    across engines — the service does.
-    """
-    if mem_cache is None and use_cache and mem_cache_mb and mem_cache_mb > 0:
-        mem_cache = MemCache(max_bytes=int(mem_cache_mb) * 2**20)
-    return Engine(
-        jobs=jobs,
-        use_cache=use_cache,
-        store=store,
-        mem_cache=mem_cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        backoff_s=backoff_s,
-    )

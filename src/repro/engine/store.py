@@ -24,10 +24,7 @@ Guarantees
 * **corruption tolerance** — an entry that fails to parse, carries the
   wrong schema, or whose embedded key mismatches its filename is
   treated as a miss and unlinked (counted in
-  ``engine_cache_corrupt_total``);
-* **bounded size** — an optional ``max_entries`` prunes oldest-mtime
-  entries after writes (simple LRU-by-write; reads do not touch mtime
-  to keep the hot path read-only).
+  ``engine_cache_corrupt_total``).
 """
 
 from __future__ import annotations
@@ -110,25 +107,15 @@ class ResultStore:
     root:
         Cache root; defaults to :func:`default_cache_dir`.  The store
         only ever touches ``root/v<schema>``.
-    max_entries:
-        If set, prune oldest entries beyond this count after each write.
     """
 
-    def __init__(
-        self, root: str | os.PathLike | None = None, max_entries: int | None = None
-    ) -> None:
+    def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.base = self.root / f"v{STORE_SCHEMA_VERSION}"
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive (or None)")
-        self.max_entries = max_entries
         reg = get_registry()
         self._corrupt = reg.counter(
             "engine_cache_corrupt_total",
             "cache entries dropped as unreadable/invalid",
-        )
-        self._evicted = reg.counter(
-            "engine_cache_evicted_total", "cache entries pruned by max_entries"
         )
         self._bytes_read = reg.counter(
             "engine_store_bytes_read_total",
@@ -250,7 +237,7 @@ class ResultStore:
                 last_error = None
                 break
             except OSError as exc:
-                # Another writer (or a concurrent clear/prune) may have
+                # Another writer (or a concurrent clear) may have
                 # removed the key-prefix directory out from under us.
                 last_error = exc
                 logger.debug(
@@ -263,45 +250,11 @@ class ResultStore:
                 context={"key": key, "path": str(path)},
             ) from last_error
         self._bytes_written.inc(len(text))
-        if self.max_entries is not None:
-            self.prune(self.max_entries)
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).is_file()
 
-    def delete(self, key: str) -> bool:
-        """Remove one entry; returns whether it existed."""
-        try:
-            self._path(key).unlink()
-            return True
-        except FileNotFoundError:
-            return False
-
     # -- maintenance --------------------------------------------------------
-
-    def prune(self, max_entries: int) -> int:
-        """Drop oldest-mtime entries beyond ``max_entries``; return count."""
-        entries = []
-        for path in self._entries():
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        excess = len(entries) - max_entries
-        if excess <= 0:
-            return 0
-        entries.sort(key=lambda pair: pair[0])
-        dropped = 0
-        for _, path in entries[:excess]:
-            try:
-                path.unlink()
-                dropped += 1
-            except OSError:
-                continue
-        if dropped:
-            self._evicted.inc(dropped)
-            logger.debug("pruned %d cache entries (cap %d)", dropped, max_entries)
-        return dropped
 
     def clear(self) -> int:
         """Remove every entry of this schema version; return the count."""
@@ -345,4 +298,4 @@ class ResultStore:
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ResultStore({str(self.root)!r}, max_entries={self.max_entries})"
+        return f"ResultStore({str(self.root)!r})"

@@ -126,9 +126,9 @@ class SweepResult:
     :class:`~repro.resilience.partial.FailurePolicy`; it is empty for
     strict (legacy) sweeps, which raise instead.
 
-    ``reuse`` classifies every cell by provenance (memory tier, disk
-    tier, in-batch dedupe, fresh compute); serial sweeps report all
-    cells as computed.  It feeds the ``reuse`` block of sweep summaries.
+    ``reuse`` classifies every cell by provenance (result store,
+    in-batch dedupe, fresh compute); serial sweeps report all cells as
+    computed.  It feeds the ``reuse`` block of sweep summaries.
     """
 
     nest_name: str

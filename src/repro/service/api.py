@@ -176,10 +176,27 @@ class ServiceHandler(BaseHTTPRequestHandler):
         return tenant
 
     def _read_body(self) -> bytes | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            return None
-        return self.rfile.read(length) if length else b""
+        """The ``POST /v1/jobs`` body, or ``None`` once a malformed or
+        oversized ``Content-Length`` has been answered with 400
+        ``REPRO-U101``."""
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            message = f"Content-Length {header!r} is not a byte count"
+        elif length > _MAX_BODY_BYTES:
+            message = f"request body exceeds {_MAX_BODY_BYTES} bytes"
+        else:
+            return self.rfile.read(length) if length else b""
+        # The body was not read, so the connection cannot carry another
+        # request (``Connection: close`` also ends this handler's loop).
+        self._send_json(
+            400, {"error": {"code": "REPRO-U101", "message": message}},
+            "/v1/jobs", "POST", headers={"Connection": "close"},
+        )
+        return None
 
     # -- routing -------------------------------------------------------------
 
@@ -236,11 +253,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         raw = self._read_body()
         if raw is None:
-            self._send_error_doc(
-                400, "REPRO-U101",
-                f"request body exceeds {_MAX_BODY_BYTES} bytes",
-                "/v1/jobs", "POST",
-            )
             return
         try:
             doc = json.loads(raw.decode("utf-8") or "null")

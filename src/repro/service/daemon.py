@@ -3,8 +3,9 @@
 :func:`serve` is what ``repro-fs serve`` runs.  Boot order:
 
 1. load tenants (``--tenants-file`` or the key-less ``public`` default),
-2. build the shared :class:`~repro.engine.Engine` (one result store →
-   cross-tenant warm cache),
+2. build the shared :class:`~repro.engine.Engine` (its result store,
+   ``--store-dir`` or ``$REPRO_CACHE_DIR``, is the one cross-tenant
+   warm cache; ``--no-cache`` turns it off),
 3. recover durable state — take the journal directory's writer lock
    (``--journal-dir``, default ``$REPRO_CACHE_DIR/journal``; a second
    daemon on a held directory exits 2 with ``REPRO-U001``) and replay
@@ -39,9 +40,8 @@ from __future__ import annotations
 import signal
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.engine import default_cache_dir, make_engine
+from repro.engine import Engine, ResultStore, default_cache_dir
 from repro.service.health import HealthMonitor
 from repro.service.journal import Journal
 from repro.service.queue import JobQueue
@@ -61,9 +61,6 @@ class ServeConfig:
     port: int = 8377
     #: Engine worker processes (sweep cells run here).
     workers: int = 2
-    #: In-memory result-tier budget in MiB, shared across every tenant
-    #: (0 disables the memory tier).
-    mem_cache_mb: int = 64
     #: Queue worker threads (jobs progressing concurrently).
     concurrency: int = 2
     batch_cells: int = 16
@@ -92,26 +89,10 @@ class ServeConfig:
 
 def build_queue(config: ServeConfig) -> JobQueue:
     """Tenants + engine + journal + queue, wired but not yet started."""
-    from repro.engine import ResultStore
-
-    store = None
-    if config.store_dir:
-        store = ResultStore(Path(config.store_dir))
-    mem_cache = None
-    if config.use_cache and config.mem_cache_mb > 0:
-        # The process-wide shared tier: every tenant's warm cells read
-        # the same memory LRU.
-        from repro.engine import shared_memcache
-
-        mem_cache = shared_memcache(
-            max_bytes=config.mem_cache_mb * 2**20
-        )
-    engine = make_engine(
+    engine = Engine(
         jobs=config.workers,
         use_cache=config.use_cache,
-        store=store,
-        mem_cache=mem_cache,
-        mem_cache_mb=config.mem_cache_mb,
+        store=ResultStore(config.store_dir) if config.store_dir else None,
         timeout_s=config.timeout_s,
     )
     return JobQueue(

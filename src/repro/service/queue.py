@@ -16,11 +16,11 @@ Nothing about a rejected job ever reaches the engine.
 Execution: ``concurrency`` worker threads pull queued jobs and run
 their sweep grids through the **shared** :class:`repro.engine.Engine`
 in small batches (``batch_cells`` cells per call, serialized by a
-lock).  Sharing one engine means one result store: a cell any tenant
-ever computed is a warm cache hit for every other tenant, and batching
-keeps cancellation (client ``DELETE`` or SIGTERM drain) responsive —
-at most one batch of cells is in flight per job when the stop signal
-lands.
+lock).  Sharing one engine means one result store, the service's only
+result cache: a cell any tenant ever computed is a warm cache hit
+(``"cache_tier": "disk"``) for every other tenant.  Batching keeps
+cancellation (client ``DELETE`` or SIGTERM drain) responsive — at most
+one batch of cells is in flight per job when the stop signal lands.
 
 Durability: every admission / batch of rows / cancellation / crash
 count / terminal state is appended to the queue's write-ahead
@@ -267,9 +267,8 @@ class ServiceJob:
         self.cells_done = 0
         self.cells_failed = 0
         self.cells_cached = 0
-        # Cache-tier breakdown of the cached cells ("mem" / "disk" /
-        # "dedupe") — the summary's reuse block.
-        self.cells_mem = 0
+        # Store hits among the cached cells; the rest are in-batch
+        # dedupes — the summary's reuse block.
         self.cells_disk = 0
         self.cancel_event = threading.Event()
         self._rows: list[dict] = []
@@ -326,12 +325,15 @@ class ServiceJob:
 
         Re-derives the per-cell counters and the completed-cell set so
         re-execution resumes after the last durable batch with row
-        offsets identical to what clients already streamed.
+        offsets identical to what clients already streamed.  Rows keep
+        their ``cache_tier`` verbatim; any cached row counts as a cached
+        cell, including the ``"mem"`` rows of journals written while a
+        memory tier still existed.
         """
         with self._cond:
             self._rows = list(rows)
             self.cells_done = self.cells_failed = self.cells_cached = 0
-            self.cells_mem = self.cells_disk = 0
+            self.cells_disk = 0
             self.completed_cells = set()
             for row in self._rows:
                 key = _cell_key(row)
@@ -342,10 +344,7 @@ class ServiceJob:
                     self.cells_done += 1
                     if row.get("from_cache"):
                         self.cells_cached += 1
-                        tier = row.get("cache_tier")
-                        if tier == "mem":
-                            self.cells_mem += 1
-                        elif tier == "disk":
+                        if row.get("cache_tier") == "disk":
                             self.cells_disk += 1
                 else:
                     self.cells_failed += 1
@@ -488,7 +487,7 @@ class JobQueue:
         )
         self._m_cache_tier = reg.counter(
             "service_cells_cache_tier_total",
-            "cached sweep cells by serving tier (mem/disk/dedupe)",
+            "cached sweep cells by serving tier (disk/dedupe)",
         )
         self._m_rejections = reg.counter(
             "service_rejections_total",
@@ -1099,16 +1098,12 @@ class JobQueue:
                     job.cells_done += 1
                     if outcome.from_cache:
                         job.cells_cached += 1
-                        if outcome.cache_tier == "mem":
-                            job.cells_mem += 1
-                        elif outcome.cache_tier == "disk":
+                        if outcome.cache_tier == "disk":
                             job.cells_disk += 1
                 self._m_cells.labels(status="done").inc()
                 if outcome.from_cache:
                     self._m_cells.labels(status="from_cache").inc()
-                    self._m_cache_tier.labels(
-                        tier=outcome.cache_tier or "disk"
-                    ).inc()
+                    self._m_cache_tier.labels(tier=outcome.cache_tier).inc()
                 policy.record_success()
             else:
                 cancelled = outcome.error_code == JobCancelledError.code
@@ -1175,9 +1170,8 @@ class JobQueue:
         reuse = ReuseReport(
             total=job.cells_done + job.cells_failed,
             computed=job.cells_done - job.cells_cached,
-            mem_hits=job.cells_mem,
             disk_hits=job.cells_disk,
-            deduped=job.cells_cached - job.cells_mem - job.cells_disk,
+            deduped=job.cells_cached - job.cells_disk,
             failed=job.cells_failed,
         )
         summary: dict[str, Any] = {

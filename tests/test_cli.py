@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import Job, ResultStore
 from repro.kernels import heat_source, linreg_source
 
 
@@ -20,6 +21,31 @@ def linreg_file(tmp_path):
     return str(p)
 
 
+_BATCH = ("--jobs", "--no-cache", "--keep-going", "--fail-fast",
+          "--max-failure-rate")
+_BUDGET = ("--deadline", "--max-iters")
+_MODEL = ("--engine", "--no-steady-state", "--mode")
+_FLAG_VALUES = {
+    "--jobs": ("2",), "--max-failure-rate": ("0.5",), "--deadline": ("1",),
+    "--max-iters": ("10",), "--engine": ("fast",), "--mode": ("literal",),
+    "--chunk": ("2",),
+}
+
+#: (subcommand, flag) pairs whose flag the subcommand never reads, so
+#: the parser rejects it instead of silently ignoring it.
+UNREAD_FLAGS = [
+    *((cmd, flag)
+      for cmd in ("analyze", "predict", "optimize", "diagnose", "trace",
+                  "profile")
+      for flag in _BATCH),
+    *((cmd, flag)
+      for cmd in ("diagnose", "optimize", "trace", "experiments")
+      for flag in _BUDGET),
+    *((cmd, flag) for cmd in ("optimize", "trace") for flag in _MODEL),
+    ("optimize", "--chunk"),
+]
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -28,6 +54,26 @@ class TestParser:
     def test_analyze_defaults(self):
         args = build_parser().parse_args(["analyze", "f.c"])
         assert args.threads is None and args.chunk is None
+
+    def test_sweep_takes_every_flag_group(self):
+        args = build_parser().parse_args([
+            "sweep", "f.c", "-t", "4", "-c", "2", "--mode", "literal",
+            "--engine", "reference", "--no-steady-state",
+            "--deadline", "1", "--max-iters", "10",
+            "--jobs", "2", "--no-cache", "--fail-fast",
+            "--max-failure-rate", "0.5",
+        ])
+        assert args.threads_list == "2,4,8" and args.chunks_list == "1,2,4,8,16"
+        assert (args.jobs, args.no_cache, args.keep_going) == (2, True, False)
+
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+    def test_unread_flag_is_rejected(self, command, flag, capsys):
+        argv = [command] if command == "experiments" else [command, "f.c"]
+        argv += [flag, *_FLAG_VALUES.get(flag, ())]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -111,6 +157,22 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "configurations" in out
         assert "best:" in out
+
+
+class TestCache:
+    def test_stats(self, capsys):
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "cache directory" in out
+        assert "entries" in out
+
+    def test_clear_dir(self, tmp_path, capsys):
+        store = ResultStore(tmp_path)
+        store.put(Job("engine.test.echo", {"value": "d"}).key(), {"v": 1})
+        assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"removed 1 cache entries from {tmp_path}" in out
+        assert store.stats().entries == 0
 
 
 class TestModuleEntryPoint:

@@ -2,7 +2,7 @@
 
 Covers the subsystem's contract surface:
 
-* cache hit/miss/eviction and corrupted-entry recovery;
+* cache hit/miss and corrupted-entry recovery;
 * worker-crash retry-then-success and permanent per-job failure
   surfacing (one bad job never fails the batch);
 * timeout kill of hung jobs;
@@ -24,7 +24,6 @@ from repro.engine import (
     Engine,
     Job,
     JobError,
-    MemCache,
     ResultStore,
     WorkerPool,
     make_engine,
@@ -110,21 +109,6 @@ class TestResultStore:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert store.get(key) is None
 
-    def test_eviction_caps_entry_count(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=4)
-        import os
-        import time as _time
-
-        for n in range(8):
-            store.put(self.key(n), {"n": n}, kind="t")
-            # mtime resolution on some filesystems is coarse; force order
-            os.utime(store._path(self.key(n)), (n, n))
-            _time.sleep(0)
-        assert store.stats().entries == 4
-        # the oldest entries went first
-        assert store.get(self.key(0)) is None
-        assert store.get(self.key(7)) == {"n": 7}
-
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path)
         for n in range(3):
@@ -195,31 +179,20 @@ class TestEngineCaching:
 
 
 class TestMakeEngine:
-    """The factory behind ``--jobs/--mem-cache-mb/--no-cache``."""
+    """``make_engine`` is :class:`Engine` under its former factory name."""
 
     def test_builds_plain_engine(self, tmp_path):
+        assert make_engine is Engine
         engine = make_engine(jobs=2, store=ResultStore(tmp_path))
         assert type(engine) is Engine
         assert engine.jobs == 2 and engine.pool.workers == 2
 
-    def test_mem_cache_mb_sizes_the_memory_tier(self, tmp_path):
-        engine = make_engine(store=ResultStore(tmp_path), mem_cache_mb=8)
-        assert engine.mem_cache is not None
-        assert engine.mem_cache.max_bytes == 8 * 2**20
-
-    def test_mem_cache_mb_zero_disables_the_tier(self, tmp_path):
-        engine = make_engine(store=ResultStore(tmp_path), mem_cache_mb=0)
-        assert engine.mem_cache is None
-
-    def test_explicit_mem_cache_wins(self, tmp_path):
-        mem = MemCache(max_entries=3)
-        engine = make_engine(store=ResultStore(tmp_path), mem_cache=mem,
-                             mem_cache_mb=64)
-        assert engine.mem_cache is mem
-
-    def test_no_cache_disables_both_tiers(self):
-        engine = make_engine(use_cache=False)
-        assert engine.store is None and engine.mem_cache is None
+    def test_no_cache_disables_the_store(self, tmp_path):
+        assert make_engine(use_cache=False).store is None
+        engine = make_engine(use_cache=False, store=ResultStore(tmp_path))
+        assert engine.store is None
+        engine.run([echo_job("nc")])
+        assert ResultStore(tmp_path).stats().entries == 0
 
 
 # ---------------------------------------------------------------------------

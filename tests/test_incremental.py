@@ -1,34 +1,22 @@
-"""Tests for :mod:`repro.engine.incremental` — manifest + reuse reports.
+"""Tests for :mod:`repro.engine.incremental` — reuse through the store.
 
 Two contracts:
 
-* **manifest skipping** (``repro-fs sweep --since-manifest``): touch one
-  kernel of two and only its cells recompute — the untouched kernel is
-  skipped outright, and the sweep's reuse line says so.  A missing,
-  unreadable or corrupt manifest degrades to a full sweep with a
-  warning, never an error.
+* **incremental re-runs** (``repro-fs sweep``): a warm re-run is served
+  from the result store, and after one kernel of two is edited only its
+  cells recompute — the untouched kernel's cells are store hits,
+  because every cell's key folds in its nest's source digest.
 * **reuse accounting**: :class:`ReuseReport` classifies every outcome
-  by provenance (compute / mem / disk / dedupe / skip / failed) and its
-  ``to_dict`` block is what sweep and experiment summaries embed.
+  by provenance (compute / disk / dedupe / failed) and its ``to_dict``
+  block is what sweep and experiment summaries embed.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import pytest
 
 from repro.cli import main
-from repro.engine import (
-    MANIFEST_SCHEMA_VERSION,
-    Job,
-    Manifest,
-    ReuseReport,
-    default_manifest_path,
-    reuse_from_outcomes,
-)
+from repro.engine import Job, ResultStore, ReuseReport, reuse_from_outcomes
 from repro.engine.pool import JobOutcome
 from repro.kernels import heat_source
 
@@ -48,121 +36,50 @@ class TestReuseReport:
     def test_record_classifies_by_tier(self):
         report = reuse_from_outcomes([
             _outcome(),
-            _outcome(from_cache=True, cache_tier="mem"),
+            _outcome(from_cache=True, cache_tier="disk"),
             _outcome(from_cache=True, cache_tier="disk"),
             _outcome(from_cache=True, cache_tier="dedupe"),
-            _outcome(from_cache=True),  # legacy row: no tier -> dedupe
             _outcome(result=None, error="boom"),
         ])
-        assert report.total == 6
+        assert report.total == 5
         assert report.computed == 1
-        assert (report.mem_hits, report.disk_hits) == (1, 1)
-        assert report.deduped == 2
+        assert (report.disk_hits, report.deduped) == (2, 1)
         assert report.failed == 1
-        assert report.reused == 4
+        assert report.reused == 3
 
-    def test_skip_and_fraction(self):
+    def test_fraction(self):
         report = ReuseReport()
-        report.skip(3)
+        report.record(_outcome(from_cache=True, cache_tier="disk"))
+        report.record(_outcome(from_cache=True, cache_tier="disk"))
+        report.record(_outcome(from_cache=True, cache_tier="dedupe"))
         report.record(_outcome())
         assert report.total == 4
-        assert report.skipped_unchanged == 3
         assert report.fraction == 0.75
         assert ReuseReport().fraction == 0.0
 
     def test_merge_adds_every_bucket(self):
-        a = ReuseReport(total=2, computed=1, mem_hits=1)
+        a = ReuseReport(total=2, computed=1, disk_hits=1)
         b = ReuseReport(total=3, disk_hits=1, failed=1, deduped=1)
         a.merge(b)
         assert a.total == 5
-        assert (a.computed, a.mem_hits, a.disk_hits) == (1, 1, 1)
+        assert (a.computed, a.disk_hits) == (1, 2)
         assert (a.deduped, a.failed) == (1, 1)
 
     def test_to_dict_schema(self):
-        doc = ReuseReport(total=4, computed=1, mem_hits=2,
-                          skipped_unchanged=1).to_dict()
+        doc = ReuseReport(total=4, computed=1, disk_hits=2,
+                          deduped=1).to_dict()
         assert doc == {
-            "total": 4, "computed": 1, "mem_hits": 2, "disk_hits": 0,
-            "deduped": 0, "skipped_unchanged": 1, "failed": 0,
-            "reused": 3, "fraction": 0.75,
+            "total": 4, "computed": 1, "disk_hits": 2, "deduped": 1,
+            "failed": 0, "reused": 3, "fraction": 0.75,
         }
 
     def test_one_line(self):
-        line = ReuseReport(total=4, mem_hits=3, computed=1).one_line()
-        assert line == ("75% reused (mem 3 / disk 0 / dedupe 0 / skip 0) "
-                        "of 4 cells")
+        line = ReuseReport(total=4, disk_hits=3, computed=1).one_line()
+        assert line == "75% reused (disk 3 / dedupe 0) of 4 cells"
 
 
 # ---------------------------------------------------------------------------
-# Manifest
-# ---------------------------------------------------------------------------
-
-
-class TestManifest:
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        manifest = Manifest()
-        manifest.update("/src/a.c", "nest_a", "digest-1")
-        manifest.update("/src/a.c", "nest_b", "digest-2")
-        manifest.update("/src/b.c", "nest_a", "digest-3")
-        manifest.save(path)
-        loaded = Manifest.load(path)
-        assert loaded.warning is None
-        assert loaded.files == manifest.files
-        assert len(loaded) == 3
-        assert json.loads(path.read_text())["schema"] == MANIFEST_SCHEMA_VERSION
-
-    def test_save_is_atomic(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        Manifest({"/a.c": {"n": "d"}}).save(path)
-        assert not list(tmp_path.glob(".tmp-manifest-*"))
-
-    def test_unchanged_and_replace(self):
-        manifest = Manifest()
-        manifest.update("/a.c", "n", "d1")
-        assert manifest.unchanged("/a.c", "n", "d1")
-        assert not manifest.unchanged("/a.c", "n", "d2")
-        assert not manifest.unchanged("/b.c", "n", "d1")
-        manifest.replace_file("/a.c", {"other": "d9"})
-        assert not manifest.unchanged("/a.c", "n", "d1")
-        assert manifest.unchanged("/a.c", "other", "d9")
-
-    def test_missing_manifest_degrades_with_warning(self, tmp_path):
-        loaded = Manifest.load(tmp_path / "absent.json")
-        assert loaded.files == {}
-        assert "not found" in loaded.warning
-
-    def test_corrupt_json_degrades_with_warning(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text("{ this is not json")
-        loaded = Manifest.load(path)
-        assert loaded.files == {}
-        assert "corrupt" in loaded.warning
-
-    def test_wrong_schema_degrades_with_warning(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"schema": 999, "files": {}}))
-        assert "corrupt" in Manifest.load(path).warning
-
-    def test_malformed_files_block_degrades(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(
-            {"schema": MANIFEST_SCHEMA_VERSION, "files": {"/a.c": "nope"}}
-        ))
-        assert "corrupt" in Manifest.load(path).warning
-
-    def test_unreadable_path_degrades_with_warning(self, tmp_path):
-        loaded = Manifest.load(tmp_path)  # a directory: OSError on read
-        assert loaded.files == {}
-        assert "unreadable" in loaded.warning
-
-    def test_default_path_follows_cache_dir(self):
-        root = os.environ["REPRO_CACHE_DIR"]  # conftest isolates this
-        assert default_manifest_path() == Path(root) / "manifest.json"
-
-
-# ---------------------------------------------------------------------------
-# CLI: sweep --since-manifest
+# CLI: sweep re-runs served by the store
 # ---------------------------------------------------------------------------
 
 
@@ -175,59 +92,40 @@ def two_kernels(tmp_path):
     return str(k1), str(k2)
 
 
-def _sweep(*files, extra=()):
+def _sweep(*files):
     return main(["sweep", *files, "--threads-list", "2,4",
-                 "--chunks-list", "1", "--since-manifest", *extra])
+                 "--chunks-list", "1"])
 
 
-class TestSinceManifestCLI:
+class TestStoreReuseCLI:
     def test_edit_one_kernel_recomputes_only_it(self, two_kernels, capsys):
         k1, k2 = two_kernels
+        store = ResultStore()  # conftest isolates $REPRO_CACHE_DIR
 
-        # Run 1: no manifest yet -> warning + full sweep, manifest written.
-        assert _sweep(k1, k2) == 0
-        captured = capsys.readouterr()
-        assert "not found" in captured.err
-        assert captured.out.count("configurations") == 2
-        assert "manifest ->" in captured.out
-
-        # Run 2: nothing changed -> every cell skipped outright.
+        # Run 1: cold store -> every cell computed.
         assert _sweep(k1, k2) == 0
         out = capsys.readouterr().out
-        assert out.count("unchanged since manifest") == 2
-        assert "configurations" not in out
-        assert "100% reused" in out
+        assert out.count("configurations") == 2
+        assert "reuse: 0% reused (disk 0 / dedupe 0) of 4 cells" in out
+        assert store.stats().entries == 4
 
-        # Run 3: touch k2 -> only its cells recompute.
+        # Run 2: nothing changed -> every cell is a store hit.
+        assert _sweep(k1, k2) == 0
+        out = capsys.readouterr().out
+        assert out.count("configurations") == 2
+        assert "reuse: 100% reused (disk 4 / dedupe 0) of 4 cells" in out
+
+        # Run 3: edit k2 -> its digest moves, so its two cells are new
+        # keys and must compute; the two store hits are k1's cells.
         with open(k2, "w") as fh:
             fh.write(heat_source(8, 258))
         assert _sweep(k1, k2) == 0
         out = capsys.readouterr().out
-        assert out.count("unchanged since manifest") == 1
-        assert out.count("configurations") == 1
-        assert "50% reused" in out
+        assert out.count("configurations") == 2
+        assert "reuse: 50% reused (disk 2 / dedupe 0) of 4 cells" in out
+        assert store.stats().entries == 6
 
-        report = json.loads(default_manifest_path().read_text())
-        assert set(report["files"]) == {os.path.abspath(k1),
-                                        os.path.abspath(k2)}
-
-    def test_corrupt_manifest_degrades_to_full_sweep(self, two_kernels,
-                                                     tmp_path, capsys):
-        k1, _ = two_kernels
-        manifest = tmp_path / "broken.json"
-        manifest.write_text("not json at all")
-        assert _sweep(k1, extra=(str(manifest),)) == 0
-        captured = capsys.readouterr()
-        assert "corrupt" in captured.err
-        assert "configurations" in captured.out
-        # ...and the manifest was rewritten for the next run.
-        assert _sweep(k1, extra=(str(manifest),)) == 0
-        out = capsys.readouterr().out
-        assert "unchanged since manifest" in out
-
-    def test_without_flag_no_manifest_is_written(self, two_kernels, capsys):
-        k1, _ = two_kernels
-        assert main(["sweep", k1, "--threads-list", "2",
-                     "--chunks-list", "1"]) == 0
-        assert "manifest" not in capsys.readouterr().out
-        assert not default_manifest_path().exists()
+        # k1 alone is still fully served by the store.
+        assert _sweep(k1) == 0
+        assert ("reuse: 100% reused (disk 2 / dedupe 0) of 2 cells"
+                in capsys.readouterr().out)

@@ -8,7 +8,9 @@ same path the CI smoke job and docs walkthrough use.
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.service import (
     ServeConfig,
     ServiceClient,
     ServiceClientError,
+    ServiceJob,
     TenantConfig,
     TenantRegistry,
     TokenBucket,
@@ -220,6 +223,55 @@ class TestAdmission:
         assert exc.value.code.startswith("REPRO-F")
 
 
+#: A cached cell row as a journal written while an in-memory result
+#: tier fronted the store recorded it.
+_MEM_ROW = {
+    "type": "cell", "kernel": "copy.i", "threads": 2, "chunk": 1,
+    "fs_cases": 0.0, "fs_cycles": 0.0, "wall_cycles": 1000.0,
+    "fs_share": 0.0, "fidelity": "regression", "from_cache": True,
+    "cache_tier": "mem",
+}
+
+
+class TestMemTierJournalRows:
+    """Rows tagged ``"cache_tier": "mem"`` still replay as cached cells."""
+
+    def test_restore_rows_adopts_a_mem_row_as_a_cached_cell(self):
+        job = ServiceJob("t", JobRequest(source=KERNEL, threads=(2, 4),
+                                         chunks=(1,)), cells_total=2)
+        job.restore_rows([dict(_MEM_ROW)])
+        assert job.rows() == [_MEM_ROW]  # kept verbatim
+        assert (job.cells_done, job.cells_cached, job.cells_failed) == (1, 1, 0)
+        assert job.completed_cells == {("copy.i", 2, 1)}
+
+    def test_job_with_a_mem_row_resumes(self, tmp_path):
+        tenant = TenantConfig(name="t", rate_per_s=1000, burst=1000)
+        request = JobRequest(source=KERNEL, threads=(2, 4), chunks=(1,))
+        journal = Journal(tmp_path / "wal", fsync=False)
+        journal.record_admit("old", "t", request.to_dict(), 2, time.time())
+        journal.record_rows("old", 0, [_MEM_ROW])
+        journal.close()
+
+        queue = _queue(tenant, tmp_path)
+        assert queue.recover() == 1
+        queue.start()
+        try:
+            job = queue.get("old")
+            deadline = time.monotonic() + 60
+            while not job.terminal and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            queue.drain()
+        assert job.status == "done"
+        rows = job.rows()
+        assert rows[0] == _MEM_ROW
+        assert [(r["threads"], r["from_cache"]) for r in rows[1:-1]] == [
+            (4, False)
+        ]
+        assert rows[-1]["cells"] == {"total": 2, "done": 2, "failed": 0,
+                                     "from_cache": 1}
+
+
 # ---------------------------------------------------------------------------
 # HTTP end-to-end
 # ---------------------------------------------------------------------------
@@ -308,6 +360,9 @@ class TestHTTP:
         second = service.submit(KERNEL, threads=[2, 4], chunks=[1, 2])
         final = service.wait(second["id"])
         assert final["cells"]["from_cache"] == 4  # 100% cache-served
+        cells = [r for r in service.results(second["id"])["rows"]
+                 if r["type"] == "cell"]
+        assert [r["cache_tier"] for r in cells] == ["disk"] * 4
         assert service.metric_value(
             "service_cells_total", {"status": "from_cache"}
         ) >= 4
@@ -341,6 +396,22 @@ class TestHTTP:
             service.submit(KERNEL, mode="bogus")
         assert exc.value.status == 400
         assert exc.value.code == "REPRO-U101"
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_maps_to_400(self, service, length):
+        host, port = service.base_url.rsplit("/", 1)[-1].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                b"X-Api-Key: sk-alice\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"]["code"] == "REPRO-U101"
 
     def test_unknown_routes_404(self, service):
         with pytest.raises(ServiceClientError) as exc:

@@ -3,9 +3,9 @@
 The analysis service points every engine worker — and, across
 restarts, every daemon generation — at the same content-addressed
 store, so two processes hammering one directory concurrently must
-never corrupt an entry, serve a torn read, or evict more than the
-``max_entries`` policy allows.  These tests drive real subprocesses
-(not threads) against one store root and assert exactly that.
+never corrupt an entry or serve a torn read.  These tests drive real
+subprocesses (not threads) against one store root and assert exactly
+that.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from repro.engine import ResultStore, stable_hash
 
@@ -127,43 +125,3 @@ class TestAtomicReplace:
         files = list((tmp_path / "s").rglob("*.json"))
         assert len(files) == 1
         assert store.get(key) == {"v": 9}
-
-
-class TestBoundedEviction:
-    def test_concurrent_prune_never_double_evicts_below_cap(self, tmp_path):
-        """Two capped stores pruning the same dir concurrently must end
-        with exactly ``max_entries`` newest entries, never fewer."""
-        cap = 5
-        root = tmp_path / "capped"
-        a = ResultStore(root, max_entries=cap)
-        b = ResultStore(root, max_entries=cap)
-        for i in range(20):
-            # Interleave writers so each triggers prunes that race with
-            # the other's view of the directory.
-            (a if i % 2 == 0 else b).put(
-                stable_hash({"evict": i}), {"i": i}, kind="conc"
-            )
-        survivors = list(root.rglob("*.json"))
-        assert len(survivors) == cap
-        fresh = ResultStore(root)
-        present = [
-            i for i in range(20)
-            if fresh.get(stable_hash({"evict": i})) is not None
-        ]
-        assert len(present) == cap
-
-    def test_prune_tolerates_entries_vanishing_underneath(self, tmp_path):
-        """A prune racing a concurrent delete (file already gone) must
-        not raise — the other process won that eviction."""
-        root = tmp_path / "vanish"
-        store = ResultStore(root, max_entries=None)
-        keys = [stable_hash({"v": i}) for i in range(8)]
-        for i, key in enumerate(keys):
-            store.put(key, {"i": i}, kind="conc")
-        # Simulate the race: another process evicted half the entries
-        # between this store's directory scan and its unlink pass.
-        for key in keys[:4]:
-            store._path(key).unlink()
-        dropped = store.prune(2)
-        assert dropped <= 4
-        assert len(list(root.rglob("*.json"))) == 2
