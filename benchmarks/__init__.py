@@ -1,1 +1,2 @@
-"""Benchmark harness package (one module per paper table/figure)."""
+"""Benchmark harness package: ablations, extensions, throughput and the
+service soaks."""

@@ -2,7 +2,8 @@
 
 Every driver returns an :class:`~repro.analysis.report.ExperimentResult`
 whose rows mirror the paper's columns; ``repro.analysis.runner`` strings
-them into EXPERIMENTS.md, and the benchmarks call them at reduced scale.
+them into EXPERIMENTS.md, and the tests check the paper's claims on them
+at reduced scale.
 
 Scales
 ------
@@ -10,20 +11,21 @@ Scales
     Default kernel sizes, the paper's thread sweep 2..48.  This is what
     EXPERIMENTS.md records.
 ``tiny``
-    Miniature kernels and threads (2, 4, 8) for tests and benchmarks.
+    Miniature kernels and threads (2, 4, 8) for tests and quick looks.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.analysis.report import ExperimentResult
 from repro.analysis.supplementary import SupplementaryMixin
 from repro.costmodels import TotalCostModel
+from repro.engine import Engine, Job, ReuseReport, reuse_from_outcomes
 from repro.kernels import KernelInstance, dft, heat_diffusion, linear_regression
 from repro.machine import MachineConfig, paper_machine
 from repro.model import (
@@ -34,13 +36,8 @@ from repro.model import (
     ols_fit,
     predicted_fs_percent,
 )
+from repro.resilience.partial import FailurePolicy, FailureReport
 from repro.sim import MulticoreSimulator
-from repro.util import get_logger
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Engine, Job
-
-logger = get_logger(__name__)
 
 #: The paper's thread sweep (Section IV-B: 2 to 48 cores).
 PAPER_THREADS: tuple[int, ...] = (2, 4, 8, 16, 24, 32, 40, 48)
@@ -123,8 +120,6 @@ class ExperimentSuite(SupplementaryMixin):
         self.total_model = TotalCostModel(self.machine)
         # Refreshed by run_all(): provenance of the last suite run
         # (computed vs served-from-cache per driver).
-        from repro.engine.incremental import ReuseReport
-
         self.last_reuse = ReuseReport()
 
     # -- Tables I-III: measured vs modeled FS overhead -------------------------
@@ -395,11 +390,9 @@ class ExperimentSuite(SupplementaryMixin):
 
     def experiment_jobs(
         self, drivers: Sequence[str] | None = None
-    ) -> "list[Job]":
+    ) -> list[Job]:
         """One engine job per driver, each reconstructing the suite in
         its worker from (machine, scale)."""
-        from repro.engine import Job
-
         machine_key = self.machine.to_key_dict()
         # Engine knobs ride in the payload, never the hashed spec: all
         # detector engines are result-identical, so the cache key must
@@ -429,75 +422,46 @@ class ExperimentSuite(SupplementaryMixin):
 
     def run_all(
         self,
-        engine: "Engine | None" = None,
-        policy=None,
+        engine: Engine | None = None,
+        policy: FailurePolicy | None = None,
     ) -> list[ExperimentResult]:
         """Regenerate every table and figure, in paper order.
 
-        With an ``engine``, the drivers fan out across its worker pool
-        (each driver is one job — the tables are independent) and
-        results memoize in the engine's store.
+        Each driver is one engine job (the tables are independent), and
+        one ``engine.run`` evaluates them all: across the engine's
+        worker pool, memoized in its store.  Without an ``engine`` the
+        jobs run inline, uncached (``Engine(jobs=1, use_cache=False)``).
 
         Failure semantics: without a ``policy`` a driver failure raises
-        (strict, historical behaviour).  With a keep-going
+        the engine's :class:`~repro.resilience.errors.EngineError`
+        carrying the driver's error code (strict).  With a keep-going
         :class:`~repro.resilience.partial.FailurePolicy`, failed
         drivers are isolated into ``policy.failures`` and the rest of
         the suite completes.
 
         ``self.last_reuse`` is refreshed with a per-driver
-        :class:`~repro.engine.incremental.ReuseReport` (engine runs
-        classify each driver by cache tier; serial runs count them all
-        as computed) — the runner embeds it in the suite summary.
+        :class:`~repro.engine.incremental.ReuseReport` (each driver
+        classified by where its result came from) — ``repro-fs
+        experiments`` prints it as its ``reuse:`` line.
         """
-        from repro.engine.incremental import ReuseReport, reuse_from_outcomes
-        from repro.resilience.errors import ReproError
-        from repro.resilience.partial import FailureReport
-
-        if engine is not None:
-            jobs = self.experiment_jobs()
-            if policy is None:
-                outcomes = engine.run(jobs)
-                docs = [outcome.unwrap() for outcome in outcomes]
-                self.last_reuse = reuse_from_outcomes(outcomes)
-                return [ExperimentResult.from_dict(doc) for doc in docs]
-            out: list[ExperimentResult] = []
-            outcomes = engine.run(jobs)
-            for outcome in outcomes:
-                if outcome.ok:
-                    out.append(ExperimentResult.from_dict(outcome.result))
+        if engine is None:
+            engine = Engine(jobs=1, use_cache=False)
+        outcomes = engine.run(self.experiment_jobs())
+        self.last_reuse = reuse_from_outcomes(outcomes)
+        out: list[ExperimentResult] = []
+        for outcome in outcomes:
+            if outcome.ok:
+                out.append(ExperimentResult.from_dict(outcome.result))
+                if policy is not None:
                     policy.record_success()
-                else:
-                    policy.record_failure(
-                        FailureReport.from_outcome(
-                            outcome, kind="experiment.driver"
-                        )
-                    )
-            self.last_reuse = reuse_from_outcomes(outcomes)
-            return out
-        out = []
-        for name in DRIVER_ORDER:
-            logger.info("running %s", name)
-            if policy is None:
-                res = self.run_driver(name)
+            elif policy is None:
+                outcome.unwrap()
             else:
-                try:
-                    res = self.run_driver(name)
-                    policy.record_success()
-                except ReproError as exc:
-                    policy.record_failure(
-                        FailureReport.from_exception(
-                            exc, label=f"experiment:{name}",
-                            kind="experiment.driver",
-                        ),
-                        cause=exc,
+                policy.record_failure(
+                    FailureReport.from_outcome(
+                        outcome, kind="experiment.driver"
                     )
-                    continue
-            logger.info("%s done in %.1fs", res.experiment, res.elapsed_seconds)
-            out.append(res)
-        self.last_reuse = ReuseReport(
-            total=len(DRIVER_ORDER), computed=len(out),
-            failed=len(DRIVER_ORDER) - len(out),
-        )
+                )
         return out
 
 

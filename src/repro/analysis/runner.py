@@ -2,14 +2,15 @@
 
 Runs every experiment at full scale and writes the results, together
 with the paper-vs-measured commentary, to EXPERIMENTS.md (or the path
-given as the first argument).  The full model evaluates every iteration
-of every kernel configuration — expect minutes of runtime serially, or
-pass ``--jobs N`` to fan the independent experiments out across a
-:mod:`repro.engine` worker pool (with ``--no-cache`` for a guaranteed
-cold run).  Per-experiment wall times are printed as the run goes, and
-a driver that raises no longer kills the document: the failure is
-reported, the remaining experiments still run, and the process exits
-nonzero.
+given as the first argument).  Every experiment is one
+:mod:`repro.engine` job, and one engine evaluates them: inline at the
+default ``--jobs 1`` (expect minutes of runtime), across ``--jobs N``
+worker processes otherwise, memoized in the result store unless
+``--no-cache`` asks for a guaranteed cold run.  The document is
+byte-identical at every width.  Per-experiment wall times are printed
+as the run goes, and a driver that raises does not kill the document:
+the failure is reported, the remaining experiments still run, and the
+process exits nonzero.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.paper import PAPER_EXPECTATIONS, deviations_section
 from repro.analysis.report import ExperimentResult
+from repro.cli import positive_int
+from repro.engine import Engine, ReuseReport
 from repro.model import ENGINES
 from repro.resilience.partial import FailureReport
 
@@ -69,8 +72,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         help="output markdown path (default EXPERIMENTS.md)")
     parser.add_argument("--scale", choices=("tiny", "full"), default="full",
                         help="experiment scale (default full)")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="engine worker processes (default 1 = serial)")
+    parser.add_argument("--jobs", "-j", type=positive_int, default=1,
+                        metavar="N",
+                        help="engine worker processes (default 1 = inline)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result store")
     parser.add_argument("--engine", choices=ENGINES, default="fast",
@@ -83,17 +87,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _run_with_engine(
-    suite: ExperimentSuite, drivers: tuple[str, ...], engine, reuse=None
+def _run_drivers(
+    suite: ExperimentSuite, drivers: tuple[str, ...], engine: Engine,
+    reuse: ReuseReport,
 ) -> tuple[list[ExperimentResult], list[FailureReport]]:
-    """Fan drivers out through the engine; never raises per driver."""
+    """Evaluate drivers through the engine; never raises per driver."""
     results: list[ExperimentResult] = []
     failures: list[FailureReport] = []
     for name, outcome in zip(
         drivers, engine.run(suite.experiment_jobs(drivers))
     ):
-        if reuse is not None:
-            reuse.record(outcome)
+        reuse.record(outcome)
         if outcome.ok:
             res = ExperimentResult.from_dict(outcome.result)
             results.append(res)
@@ -112,30 +116,6 @@ def _run_with_engine(
     return results, failures
 
 
-def _run_serial(
-    suite: ExperimentSuite, drivers: tuple[str, ...]
-) -> tuple[list[ExperimentResult], list[FailureReport]]:
-    results: list[ExperimentResult] = []
-    failures: list[FailureReport] = []
-    for name in drivers:
-        t0 = time.perf_counter()
-        try:
-            res = suite.run_driver(name)
-        except Exception as exc:  # noqa: BLE001 - reported, run continues
-            report = FailureReport.from_exception(
-                exc, label=f"experiment:{name}", kind="experiment.driver"
-            )
-            failures.append(report)
-            print(f"[runner] {name:<18} FAILED after "
-                  f"{time.perf_counter() - t0:.1f}s: {report.one_line()}",
-                  file=sys.stderr)
-            continue
-        results.append(res)
-        print(f"[runner] {name:<18} {res.experiment:<10} "
-              f"({time.perf_counter() - t0:.1f}s)")
-    return results, failures
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     t0 = time.perf_counter()
@@ -144,19 +124,12 @@ def main(argv: list[str] | None = None) -> int:
         detector_engine=args.detector_engine,
         steady_state=not args.no_steady_state,
     )
-    reuse = None
-    if args.jobs > 1 or not args.no_cache:
-        from repro.engine import Engine
-        from repro.engine.incremental import ReuseReport
-
-        engine = Engine(jobs=args.jobs, use_cache=not args.no_cache)
-        reuse = ReuseReport()
-        run = lambda drivers: _run_with_engine(  # noqa: E731
-            suite, drivers, engine, reuse)
-    else:
-        run = lambda drivers: _run_serial(suite, drivers)  # noqa: E731
-    results, failures = run(DRIVER_ORDER)
-    supplementary, supp_failures = run(SUPPLEMENTARY_DRIVERS)
+    engine = Engine(jobs=args.jobs, use_cache=not args.no_cache)
+    reuse = ReuseReport()
+    results, failures = _run_drivers(suite, DRIVER_ORDER, engine, reuse)
+    supplementary, supp_failures = _run_drivers(
+        suite, SUPPLEMENTARY_DRIVERS, engine, reuse
+    )
     failures += supp_failures
     doc = build_markdown(results, supplementary)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -164,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     for res in (*results, *supplementary):
         print(res.to_text())
         print()
-    if reuse is not None and reuse.total:
+    if reuse.total:
         print(f"[runner] reuse: {reuse.one_line()}")
     print(f"wrote {args.out} in {time.perf_counter() - t0:.0f}s "
           f"({len(results) + len(supplementary)} experiments"

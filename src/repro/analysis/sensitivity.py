@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
 
 from repro.costmodels import TotalCostModel
+from repro.engine import Engine, Job, nest_digest
 from repro.kernels.base import KernelInstance
 from repro.machine import MachineConfig
 from repro.model import FalseSharingModel, fs_overhead_percent
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Engine, Job
 
 
 @dataclass(frozen=True)
@@ -97,15 +94,13 @@ def modeled_percent(
 
 def output_job(
     machine: MachineConfig, kernel: KernelInstance, threads: int, label: str = ""
-) -> "Job":
+) -> Job:
     """An engine job evaluating :func:`modeled_percent` for one machine.
 
     Perturbations are expressed by passing an already-perturbed
     ``machine`` — its canonical key dict carries the changed constant,
     so each perturbation memoizes under its own cache key.
     """
-    from repro.engine import Job, nest_digest
-
     return Job(
         kind="sensitivity.output",
         spec={
@@ -135,29 +130,28 @@ def sensitivity(
     threads: int = 4,
     constants: tuple[str, ...] = DEFAULT_CONSTANTS,
     perturbation: float = 0.25,
-    output_fn: Callable[[MachineConfig, KernelInstance, int], float] | None = None,
-    engine: "Engine | None" = None,
+    engine: Engine | None = None,
 ) -> list[SensitivityEntry]:
     """Elasticity of the modeled FS% to each constant.
+
+    The base machine and every perturbed one are independent engine
+    jobs (:func:`output_job`), evaluated by one ``engine.run``: they
+    share no state, so they parallelize perfectly and memoize per
+    perturbed config.
 
     Parameters
     ----------
     perturbation:
         Relative bump applied to each constant (default +25%).
-    output_fn:
-        Override the measured output (default: Eq. (5) modeled percent).
-        Custom output functions cannot cross a process boundary, so they
-        force the serial path even when an ``engine`` is given.
     engine:
-        Evaluate the base and every perturbed machine as independent
-        engine jobs — the evaluations share no state, so they
-        parallelize perfectly and memoize per perturbed config.
+        The engine that evaluates the jobs; without one they run
+        inline, uncached (``Engine(jobs=1, use_cache=False)``).
     """
     if not 0 < perturbation < 1:
         raise ValueError("perturbation must be in (0, 1)")
-    out_fn = output_fn or modeled_percent
+    if engine is None:
+        engine = Engine(jobs=1, use_cache=False)
 
-    # Plan the perturbations once, shared by both execution paths.
     plan: list[tuple[str, float, float, MachineConfig]] = []
     for name in constants:
         base_value = _constant_value(machine, name)
@@ -172,23 +166,17 @@ def sensitivity(
             (name, base_value, rel_in, _with_constant(machine, name, new_value))
         )
 
-    if engine is not None and output_fn is None:
-        jobs = [output_job(machine, kernel, threads, f"sensitivity:{kernel.name}:base")]
-        jobs += [
-            output_job(m, kernel, threads, f"sensitivity:{kernel.name}:{name}")
-            for name, _, _, m in plan
-        ]
-        docs = engine.run_strict(jobs)
-        base_output = docs[0]["percent"]
-        perturbed_outputs = [doc["percent"] for doc in docs[1:]]
-    else:
-        base_output = out_fn(machine, kernel, threads)
-        perturbed_outputs = [
-            out_fn(m, kernel, threads) for _, _, _, m in plan
-        ]
+    jobs = [output_job(machine, kernel, threads, f"sensitivity:{kernel.name}:base")]
+    jobs += [
+        output_job(m, kernel, threads, f"sensitivity:{kernel.name}:{name}")
+        for name, _, _, m in plan
+    ]
+    docs = engine.run_strict(jobs)
+    base_output = docs[0]["percent"]
 
     entries = []
-    for (name, base_value, rel_in, _), perturbed in zip(plan, perturbed_outputs):
+    for (name, base_value, rel_in, _), doc in zip(plan, docs[1:]):
+        perturbed = doc["percent"]
         rel_out = (
             (perturbed - base_output) / base_output if base_output else 0.0
         )

@@ -127,10 +127,3 @@ class SupplementaryMixin:
             )
         res.elapsed_seconds = time.perf_counter() - t0
         return res
-
-    def run_supplementary(self) -> list[ExperimentResult]:
-        return [
-            self.run_supp_victims(),
-            self.run_supp_baseline(),
-            self.run_supp_mitigation(),
-        ]

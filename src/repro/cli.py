@@ -80,6 +80,26 @@ from repro.resilience import Budget, FailurePolicy, FailureReport, ReproError
 from repro.transform import ChunkSizeOptimizer
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for a count: an integer >= 1.
+
+    Anything else is a usage error (exit 2), as the service rejects a
+    count below 1 with ``REPRO-U101``.
+    """
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
+def positive_int_list(text: str) -> tuple[int, ...]:
+    """The comma-list form of :func:`positive_int` (``2,4,8``)."""
+    return tuple(positive_int(item) for item in text.split(","))
+
+
 def _add_common(
     p: argparse.ArgumentParser,
     *,
@@ -91,13 +111,13 @@ def _add_common(
     subcommand reads: ``--chunk``, the model flags and the budget."""
     p.add_argument("file", nargs="+", metavar="FILE",
                    help="C source file(s) with OpenMP parallel loops")
-    p.add_argument("--threads", "-t", type=int, default=None,
+    p.add_argument("--threads", "-t", type=positive_int, default=None,
                    help="thread count to analyze (default: the pragma's "
                         "num_threads clause, else 8)")
     if chunk:
-        p.add_argument("--chunk", "-c", type=int, default=None,
+        p.add_argument("--chunk", "-c", type=positive_int, default=None,
                        help="override the schedule chunk size")
-    p.add_argument("--cores", type=int, default=48,
+    p.add_argument("--cores", type=positive_int, default=48,
                    help="machine core count (default 48, the paper's box)")
     if model:
         p.add_argument("--mode", choices=("invalidate", "literal"),
@@ -140,7 +160,7 @@ def _model_kwargs(args: argparse.Namespace) -> dict:
 def _add_batch_flags(p: argparse.ArgumentParser) -> None:
     """``--jobs``/``--no-cache`` and the failure policy: the flags of the
     commands that run a batch through the engine."""
-    p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", "-j", type=positive_int, default=1, metavar="N",
                    help="worker processes for batch evaluation (default 1 "
                         "= serial; results are identical either way)")
     p.add_argument("--no-cache", action="store_true",
@@ -389,15 +409,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         predictor_runs=args.runs, mode=args.mode,
                         detector_engine=kwargs["engine"],
                         steady_state=kwargs["steady_state"])
-    threads = tuple(int(t) for t in args.threads_list.split(","))
-    chunks = tuple(int(c) for c in args.chunks_list.split(","))
     engine = _engine_from(args)
     budget = _budget_from(args)
     policy = _policy_from(args)
     produced = 0
     reuse = ReuseReport()
     for k in _load_kernels(args, policy=policy):
-        result = sweep.sweep(k.nest, threads=threads, chunks=chunks,
+        result = sweep.sweep(k.nest, threads=args.threads_list,
+                             chunks=args.chunks_list,
                              engine=engine, budget=budget, policy=policy)
         reuse.merge(result.reuse)
         produced += len(result.points)
@@ -493,13 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="fast FS prediction (linear regression)")
     _add_common(p)
-    p.add_argument("--runs", type=int, default=20,
+    p.add_argument("--runs", type=positive_int, default=20,
                    help="chunk runs to sample (default 20)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("optimize", help="recommend a schedule chunk size")
     _add_common(p, chunk=False, model=False, budget=False)
-    p.add_argument("--runs", type=int, default=10,
+    p.add_argument("--runs", type=positive_int, default=10,
                    help="chunk runs sampled per candidate (default 10)")
     p.set_defaults(func=cmd_optimize)
 
@@ -534,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="record the memory trace to a .npz file")
     _add_common(p, model=False, budget=False)
     p.add_argument("--output", "-o", default=None, help="trace file path")
-    p.add_argument("--max-steps", type=int, default=None,
+    p.add_argument("--max-steps", type=positive_int, default=None,
                    help="truncate the trace after N lockstep steps")
     p.set_defaults(func=cmd_trace)
 
@@ -545,11 +564,12 @@ def build_parser() -> argparse.ArgumentParser:
     # without them argparse would take them as abbreviations of those.
     _add_common(p)
     _add_batch_flags(p)
-    p.add_argument("--runs", type=int, default=8,
+    p.add_argument("--runs", type=positive_int, default=8,
                    help="chunk runs sampled per configuration (default 8)")
-    p.add_argument("--threads-list", default="2,4,8",
+    p.add_argument("--threads-list", type=positive_int_list, default="2,4,8",
                    help="comma-separated thread counts (default 2,4,8)")
-    p.add_argument("--chunks-list", default="1,2,4,8,16",
+    p.add_argument("--chunks-list", type=positive_int_list,
+                   default="1,2,4,8,16",
                    help="comma-separated chunk sizes (default 1,2,4,8,16)")
     p.add_argument("--exact", action="store_true",
                    help="request the full exact model per point instead of "

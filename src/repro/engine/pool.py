@@ -20,7 +20,8 @@ failure modes it handles badly for batch analysis:
 
 ``workers <= 1`` runs jobs inline in the calling process (no pickling,
 no subprocess spin-up) with identical outcome semantics — that is the
-``--jobs 1`` reference path the equivalence tests compare against.
+``--jobs 1`` reference path the equivalence tests compare against, and
+the only serial execution the batch consumers have.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Pipeline (Section III):
 
 1. array references — delivered by the frontend/builders on the nest;
 2. :mod:`~repro.model.ownership` — cache line ownership lists per thread;
-3. :mod:`~repro.model.stackdist` — LRU cache states / stack distances;
+3. per-thread LRU cache states, kept by the detector of step 4 (stack
+   distances, their oracle, in :mod:`~repro.model.stackdist`);
 4. :mod:`~repro.model.detector` — φ/mask 1-to-All FS counting;
 plus :mod:`~repro.model.regression` (the linear-regression FS predictor)
 and :mod:`~repro.model.cost` (Eq. 1 integration / Eq. 5 percentages).
@@ -49,7 +50,6 @@ from repro.model.schedule import (
 )
 from repro.model.stackdist import (
     DistanceHistogram,
-    LRUStack,
     MODIFIED,
     SHARED,
     StackDistanceAnalyzer,
@@ -94,7 +94,6 @@ __all__ = [
     "effective_chunk",
     "static_chunk_positions",
     "DistanceHistogram",
-    "LRUStack",
     "MODIFIED",
     "SHARED",
     "StackDistanceAnalyzer",

@@ -8,22 +8,22 @@ associative cache — the paper argues (citing Sandberg et al.) that the
 fully-associative approximation is accurate for highly associative
 private caches.
 
-Two engines live here:
-
-* :class:`LRUStack` — the cache state proper: an ordered map from line
-  id to MESI-ish state (Modified/Shared) with O(1) access, eviction and
-  invalidation.  This is what the FS detector drives.
-* :class:`StackDistanceAnalyzer` — the classic Bennett–Kruskal reuse
-  (stack) distance algorithm over a Fenwick tree, O(log n) per access.
-  It computes exact LRU stack distances for any trace and is used for
-  locality diagnostics and as an independent oracle in the test suite
-  (an access hits in an LRU cache of capacity C iff its stack distance
-  is < C — a property the tests check against :class:`LRUStack`).
+The model's cache states live in the detectors, next to the φ/mask
+directory they must stay consistent with: :class:`~repro.model.detector.FSDetector`
+keeps one ordered map per thread (line id → Modified/Shared state,
+insertion order = LRU order), and :class:`~repro.model.fastdetect.FastFSDetector`
+applies the same transitions to arrays.  This module holds the line
+states they share and :class:`StackDistanceAnalyzer` — the classic
+Bennett–Kruskal reuse (stack) distance algorithm over a Fenwick tree,
+O(log n) per access.  It computes exact LRU stack distances for any
+trace and is used for locality diagnostics and as an independent oracle
+in the test suite (an access hits in an LRU cache of capacity C iff its
+stack distance is < C — a property the tests check against both
+detectors' miss counts).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -32,70 +32,6 @@ from repro.obs import traced
 #: Line states inside a thread's cache state.
 MODIFIED = "M"
 SHARED = "S"
-
-
-class LRUStack:
-    """A fully-associative LRU cache state with per-line M/S states.
-
-    The stack top is the most recently used line.  ``capacity`` is the
-    stack distance of the modeled cache (number of lines).
-    """
-
-    __slots__ = ("capacity", "_lines")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._lines: OrderedDict[int, str] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._lines)
-
-    def __contains__(self, line: int) -> bool:
-        return line in self._lines
-
-    def state(self, line: int) -> str | None:
-        """The line's state, or ``None`` when not cached."""
-        return self._lines.get(line)
-
-    def access(self, line: int, is_write: bool) -> tuple[bool, int | None]:
-        """Touch ``line``; returns ``(hit, evicted_line)``.
-
-        A write marks the line Modified; a read preserves an existing
-        Modified state (the dirty bit survives reads).  On a miss the LRU
-        line is evicted when the stack is full.
-        """
-        lines = self._lines
-        prev = lines.pop(line, None)
-        hit = prev is not None
-        if is_write:
-            state = MODIFIED
-        else:
-            state = prev if prev is not None else SHARED
-        lines[line] = state  # (re-)insert at MRU position
-        evicted: int | None = None
-        if len(lines) > self.capacity:
-            evicted, _ = lines.popitem(last=False)
-        return hit, evicted
-
-    def invalidate(self, line: int) -> bool:
-        """Drop a line (remote write-invalidate); True when present."""
-        return self._lines.pop(line, None) is not None
-
-    def downgrade(self, line: int) -> bool:
-        """Modified → Shared (remote read); True when state changed."""
-        if self._lines.get(line) == MODIFIED:
-            self._lines[line] = SHARED
-            return True
-        return False
-
-    def stack(self) -> list[tuple[int, str]]:
-        """The stack contents, MRU first."""
-        return list(reversed(self._lines.items()))
-
-    def clear(self) -> None:
-        self._lines.clear()
 
 
 class _FenwickTree:

@@ -8,53 +8,62 @@ share and estimated wall time per configuration — ready for a table,
 a CSV export or an ``argmin``.
 
 The sweep uses the linear-regression predictor by default, making a
-48-configuration landscape a sub-second operation.  Larger landscapes
-(full model, big grids) go through :mod:`repro.engine`: every grid
-point is an independent, content-addressed job, so
-``sweep(nest, engine=Engine(jobs=4))`` fans out across worker processes
-and a re-run of an already-computed landscape is served from the
-on-disk result store.  Parallel and serial paths produce *identical*
-:class:`SweepPoint` values — the point evaluation is deterministic and
-shared (:func:`evaluate_point`), and results survive the JSON cache
-round-trip exactly (floats round-trip losslessly through JSON).
+48-configuration landscape a sub-second operation.  Every grid point is
+an independent, content-addressed :mod:`repro.engine` job, and
+:meth:`WhatIfSweep.sweep` always evaluates the landscape through
+``Engine.run``: ``sweep(nest, engine=Engine(jobs=4))`` fans out across
+worker processes and serves a re-run from the on-disk result store,
+while ``sweep(nest)`` runs the same jobs inline, uncached.  Every width
+produces *identical* :class:`SweepPoint` values — the point evaluation
+is deterministic (:func:`evaluate_point`), and results survive the JSON
+cache round-trip exactly (floats round-trip losslessly through JSON).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.costmodels import TotalCostModel
-from repro.engine.incremental import ReuseReport, reuse_from_outcomes
+from repro.engine import (
+    Engine,
+    Job,
+    JobOutcome,
+    ReuseReport,
+    nest_digest,
+    reuse_from_outcomes,
+)
 from repro.ir.loops import ParallelLoopNest
 from repro.machine import MachineConfig
+from repro.model.fastdetect import ENGINES
 from repro.model.fsmodel import FalseSharingModel
 from repro.resilience.budget import Budget
-from repro.resilience.errors import ModelError, ReproError
+from repro.resilience.errors import ModelError
 from repro.resilience.ladder import analyze_with_ladder
 from repro.resilience.partial import FailurePolicy, FailureReport
 from repro.obs import get_registry
 from repro.util import get_logger
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Engine, Job
-
 logger = get_logger(__name__)
 
 
-def _account_fallbacks(points: Sequence["SweepPoint"]) -> None:
-    """Mirror worker-side ladder fallbacks into this process' registry.
+def _account_fallbacks(
+    engine: Engine, outcomes: Sequence[JobOutcome]
+) -> None:
+    """Count degraded points whose ladder ran outside this process.
 
-    With an engine, the degradation ladder runs inside worker processes
-    whose metric registries never reach the parent; re-counting degraded
-    points here keeps ``resilience_fallbacks_total{level=...}`` visible
-    in the sweep's own metrics dump (cache-served degraded points count
-    too — the metric tracks degraded *results*, which is what a sweep
-    report cares about).
+    The degradation ladder bumps ``resilience_fallbacks_total`` where it
+    runs.  A point computed inline (``engine.jobs <= 1``) has already
+    been counted; a point computed in a worker process, whose registry
+    never reaches this one, or served from the store has not.  Counting
+    those here keeps ``resilience_fallbacks_total{level=...}`` visible
+    in the sweep's own metrics dump, once per degraded point.
     """
     counter = None
-    for p in points:
-        if not p.degraded:
+    for outcome in outcomes:
+        if not outcome.ok or outcome.result.get("degradation") is None:
+            continue
+        if engine.jobs <= 1 and not outcome.from_cache:
             continue
         if counter is None:
             counter = get_registry().counter(
@@ -62,7 +71,7 @@ def _account_fallbacks(points: Sequence["SweepPoint"]) -> None:
                 "analyses degraded to a cheaper fidelity level by a "
                 "budget guard",
             )
-        counter.labels(level=p.fidelity).inc()
+        counter.labels(level=outcome.result["fidelity"]).inc()
 
 
 @dataclass(frozen=True)
@@ -124,11 +133,11 @@ class SweepResult:
     :class:`~repro.resilience.partial.FailureReport` per isolated
     grid-point failure when the sweep ran under a keep-going
     :class:`~repro.resilience.partial.FailurePolicy`; it is empty for
-    strict (legacy) sweeps, which raise instead.
+    strict sweeps, which raise instead.
 
     ``reuse`` classifies every cell by provenance (result store,
-    in-batch dedupe, fresh compute); serial sweeps report all cells as
-    computed.  It feeds the ``reuse`` block of sweep summaries.
+    in-batch dedupe, fresh compute); an uncached sweep reports every
+    cell as computed.  It feeds the ``reuse`` block of sweep summaries.
     """
 
     nest_name: str
@@ -183,12 +192,12 @@ def evaluate_point(
 ) -> SweepPoint:
     """Evaluate one (threads, chunk) configuration.
 
-    This is the single source of truth for a sweep point — the serial
-    path, the engine worker (:func:`run_point_job`) and any external
-    caller all go through it, which is what makes ``--jobs N`` output
-    bit-identical to ``--jobs 1``.  The computation is deterministic:
-    the predictor samples a fixed prefix of chunk runs, not a random
-    subset.
+    This is the single source of truth for a sweep point — the engine
+    runner (:func:`run_point_job`), inline or in a worker process, and
+    any external caller all go through it, which is what makes
+    ``--jobs N`` output bit-identical to ``--jobs 1``.  The computation
+    is deterministic: the predictor samples a fixed prefix of chunk
+    runs, not a random subset.
 
     ``detector_engine`` and ``steady_state`` select the detector
     implementation (see :class:`FalseSharingModel`).  Both knobs are
@@ -293,50 +302,17 @@ class WhatIfSweep:
         detector_engine: str = "fast",
         steady_state: bool = True,
     ) -> None:
+        if detector_engine not in ENGINES:
+            raise ModelError(
+                f"unknown detector engine {detector_engine!r}; "
+                f"use one of {ENGINES}"
+            )
         self.machine = machine
         self.use_predictor = use_predictor
         self.predictor_runs = predictor_runs
+        self.mode = mode
         self.detector_engine = detector_engine
         self.steady_state = steady_state
-        self.model = FalseSharingModel(
-            machine, mode=mode, engine=detector_engine,
-            steady_state=steady_state,
-        )
-        self.total_model = TotalCostModel(machine)
-
-    def _point(
-        self,
-        nest: ParallelLoopNest,
-        threads: int,
-        chunk: int,
-        budget: Budget | None = None,
-    ) -> SweepPoint:
-        return evaluate_point(
-            self.machine, nest, threads, chunk,
-            use_predictor=self.use_predictor,
-            predictor_runs=self.predictor_runs,
-            mode=self.model.mode,
-            budget=budget,
-            detector_engine=self.detector_engine,
-            steady_state=self.steady_state,
-        )
-
-    def _feasible(
-        self,
-        nest: ParallelLoopNest,
-        threads: Sequence[int],
-        chunks: Sequence[int],
-    ) -> list[tuple[int, int]]:
-        """The feasible (threads, chunk) grid, serial evaluation order."""
-        trip = nest.trip_counts()[nest.parallel_depth()]
-        grid = [
-            (t, c) for t in threads for c in chunks if c * t <= trip
-        ]
-        if not grid:
-            raise ModelError(
-                f"no feasible (threads, chunk) points for trip count {trip}"
-            )
-        return grid
 
     def feasible_grid(
         self,
@@ -350,7 +326,15 @@ class WhatIfSweep:
         cost-estimates a submitted sweep from this grid *before*
         queueing it, without building any engine jobs.
         """
-        return self._feasible(nest, threads, chunks)
+        trip = nest.trip_counts()[nest.parallel_depth()]
+        grid = [
+            (t, c) for t in threads for c in chunks if c * t <= trip
+        ]
+        if not grid:
+            raise ModelError(
+                f"no feasible (threads, chunk) points for trip count {trip}"
+            )
+        return grid
 
     def point_jobs(
         self,
@@ -358,15 +342,13 @@ class WhatIfSweep:
         threads: Sequence[int] = (2, 4, 8, 16, 24, 32, 48),
         chunks: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
         budget: Budget | None = None,
-    ) -> "list[Job]":
+    ) -> list[Job]:
         """One engine job per feasible grid point, in sweep order.
 
         A non-empty budget joins the job spec (and therefore the cache
         key): a budgeted, possibly degraded point must never alias the
         cache entry of an unbudgeted exact one.
         """
-        from repro.engine import Job, nest_digest
-
         digest = nest_digest(nest)
         machine_key = self.machine.to_key_dict()
         # detector_engine / steady_state stay OUT of the spec (and
@@ -381,7 +363,7 @@ class WhatIfSweep:
         }
         budget_key = budget.to_key_dict() if budget is not None else {}
         jobs = []
-        for t, c in self._feasible(nest, threads, chunks):
+        for t, c in self.feasible_grid(nest, threads, chunks):
             spec = {
                 "kernel_sha256": digest,
                 "machine": machine_key,
@@ -389,7 +371,7 @@ class WhatIfSweep:
                 "chunk": c,
                 "use_predictor": self.use_predictor,
                 "predictor_runs": self.predictor_runs,
-                "mode": self.model.mode,
+                "mode": self.mode,
             }
             if budget_key:
                 spec["budget"] = budget_key
@@ -408,20 +390,23 @@ class WhatIfSweep:
         nest: ParallelLoopNest,
         threads: Sequence[int] = (2, 4, 8, 16, 24, 32, 48),
         chunks: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
-        engine: "Engine | None" = None,
+        engine: Engine | None = None,
         budget: Budget | None = None,
         policy: FailurePolicy | None = None,
     ) -> SweepResult:
         """Evaluate the landscape; infeasible (chunk·T > trip) points
         are skipped.
 
-        With an ``engine``, every point becomes a content-addressed job:
-        points run across the engine's worker pool and repeat sweeps are
-        served from its result store.  Point values are identical to the
-        serial path.
+        Every point is a content-addressed job, evaluated by one
+        ``engine.run``: points run across the engine's worker pool and
+        repeat sweeps are served from its result store.  Without an
+        ``engine`` the jobs run inline, uncached
+        (``Engine(jobs=1, use_cache=False)``); point values are the same
+        at every width.
 
         Failure semantics: without a ``policy`` any point failure raises
-        (strict, the historical behaviour).  With a keep-going
+        the engine's :class:`~repro.resilience.errors.EngineError`
+        carrying the point's error code (strict).  With a keep-going
         :class:`~repro.resilience.partial.FailurePolicy`, failed points
         are isolated into ``SweepResult.failures`` while the rest of the
         grid completes — unless the policy's failure-rate circuit
@@ -429,75 +414,39 @@ class WhatIfSweep:
         every point evaluation (degradation ladder; see
         :func:`evaluate_point`).
         """
-        if engine is not None:
-            jobs = self.point_jobs(nest, threads, chunks, budget=budget)
-            if policy is None:
-                outcomes = engine.run(jobs)
-                results = [outcome.unwrap() for outcome in outcomes]
-                points = tuple(SweepPoint.from_dict(doc) for doc in results)
-                _account_fallbacks(points)
-                logger.debug(
-                    "what-if sweep on %s: %d points via engine (jobs=%d)",
-                    nest.name, len(points), engine.jobs,
-                )
-                return SweepResult(
-                    nest_name=nest.name, points=points,
-                    reuse=reuse_from_outcomes(outcomes),
-                )
-            points_list: list[SweepPoint] = []
-            outcomes = engine.run(jobs)
-            for outcome in outcomes:
-                if outcome.ok:
-                    points_list.append(SweepPoint.from_dict(outcome.result))
+        if engine is None:
+            engine = Engine(jobs=1, use_cache=False)
+        outcomes = engine.run(
+            self.point_jobs(nest, threads, chunks, budget=budget)
+        )
+        points: list[SweepPoint] = []
+        for outcome in outcomes:
+            if outcome.ok:
+                points.append(SweepPoint.from_dict(outcome.result))
+                if policy is not None:
                     policy.record_success()
-                else:
-                    policy.record_failure(
-                        FailureReport.from_outcome(
-                            outcome,
-                            kind="sweep.point",
-                            point={
-                                "threads": outcome.job.spec.get("threads"),
-                                "chunk": outcome.job.spec.get("chunk"),
-                            },
-                        )
-                    )
-            _account_fallbacks(points_list)
-            return SweepResult(
-                nest_name=nest.name,
-                points=tuple(points_list),
-                failures=tuple(policy.failures),
-                reuse=reuse_from_outcomes(outcomes),
-            )
-        points_list = []
-        failures: tuple[FailureReport, ...] = ()
-        for t, c in self._feasible(nest, threads, chunks):
-            if policy is None:
-                points_list.append(self._point(nest, t, c, budget=budget))
-                continue
-            try:
-                points_list.append(self._point(nest, t, c, budget=budget))
-                policy.record_success()
-            except ReproError as exc:
+            elif policy is None:
+                outcome.unwrap()
+            else:
                 policy.record_failure(
-                    FailureReport.from_exception(
-                        exc,
-                        label=f"whatif:{nest.name}:t{t}c{c}",
+                    FailureReport.from_outcome(
+                        outcome,
                         kind="sweep.point",
-                        point={"threads": t, "chunk": c},
-                    ),
-                    cause=exc,
+                        point={
+                            "threads": outcome.job.spec.get("threads"),
+                            "chunk": outcome.job.spec.get("chunk"),
+                        },
+                    )
                 )
-        if policy is not None:
-            failures = tuple(policy.failures)
+        _account_fallbacks(engine, outcomes)
+        failures = tuple(policy.failures) if policy is not None else ()
         logger.debug(
-            "what-if sweep on %s: %d points (%d failures)",
-            nest.name, len(points_list), len(failures),
+            "what-if sweep on %s: %d points (%d failures, jobs=%d)",
+            nest.name, len(points), len(failures), engine.jobs,
         )
         return SweepResult(
-            nest_name=nest.name, points=tuple(points_list), failures=failures,
-            reuse=ReuseReport(
-                total=len(points_list) + len(failures),
-                computed=len(points_list),
-                failed=len(failures),
-            ),
+            nest_name=nest.name,
+            points=tuple(points),
+            failures=failures,
+            reuse=reuse_from_outcomes(outcomes),
         )

@@ -1,14 +1,12 @@
-"""Small shared utilities: logging, timing, integer helpers."""
+"""Small shared utilities: logging and integer helpers."""
 
 from repro.util.logging import get_logger, parse_level, set_level
-from repro.util.timing import Timer
 from repro.util.intmath import ceil_div, popcount, is_power_of_two
 
 __all__ = [
     "get_logger",
     "parse_level",
     "set_level",
-    "Timer",
     "ceil_div",
     "popcount",
     "is_power_of_two",

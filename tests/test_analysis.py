@@ -1,5 +1,6 @@
 """Unit tests for experiment drivers and report rendering (tiny scale)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -9,6 +10,7 @@ from repro.analysis import (
     format_cell,
     render_all,
 )
+from repro.model import ols_fit
 
 
 @pytest.fixture(scope="module")
@@ -92,34 +94,89 @@ class TestTableDrivers:
         assert modeled[0] / modeled[-1] > threads[-1] / threads[0] * 0.3
         assert min(measured) > 10
 
-    def test_table4_prediction_close_to_model(self, suite):
-        res = suite.run_table4()
+    @staticmethod
+    def _prediction_tracks_model(res, max_rel):
+        """Tables IV-VI: the LR prediction is within ``max_rel`` of the
+        full model's FS cases on every row."""
         for row in res.rows:
             pred_fs, model_fs = row[1], row[4]
             if model_fs:
-                assert abs(pred_fs - model_fs) / model_fs < 0.25
+                rel = abs(pred_fs - model_fs) / model_fs
+                assert rel < max_rel, f"prediction off by {rel:.0%} at T={row[0]}"
+
+    def test_table4_prediction_close_to_model(self, suite):
+        """Paper claim: predictions from 20 chunk runs match the full
+        model's counts and percentages closely."""
+        res = suite.run_table4()
+        self._prediction_tracks_model(res, 0.2)
+        for row in res.rows:
+            pred_pct, model_pct = row[3], row[6]
+            assert abs(pred_pct - model_pct) < 8
+
+    def test_table5_dft_prediction_close_to_model(self, suite):
+        """Paper claim: the same for DFT from 50 chunk runs."""
+        res = suite.run_table5()
+        assert len(res.rows) == len(suite.scale.threads)
+        self._prediction_tracks_model(res, 0.2)
+        for row in res.rows:
+            assert abs(row[3] - row[6]) < 8  # pred % vs model %
 
     def test_table6_runs(self, suite):
+        """Paper claim: prediction from 10 chunk runs matches the full
+        model, and both decline with the thread count (total work is
+        M/num_threads)."""
         res = suite.run_table6()
         assert len(res.rows) == len(suite.scale.threads)
+        model_fs = [row[4] for row in res.rows]
+        assert model_fs[-1] < model_fs[0], "FS cases decline with threads"
+        self._prediction_tracks_model(res, 0.25)
 
 
 class TestFigureDrivers:
     def test_fig2_time_decreases(self, suite):
+        """Paper claim: time falls as the chunk grows from 1 upward,
+        then flattens."""
         res = suite.run_fig2()
+        assert res.column("chunk")[0] == 1
         times = res.column("time (ms)")
-        assert times[-1] < times[0]
+        assert times[-1] < times[0], "larger chunks must beat chunk=1"
+        # Flattening: the last step of the sweep changes time far less
+        # than the first step away from chunk=1.
+        assert abs(times[-2] - times[-1]) < times[0] - times[1]
 
     def test_fig6_linear(self, suite):
+        """Paper claim: the cumulative FS count is linear in the
+        chunk-run index, which justifies the regression predictor."""
         res = suite.run_fig6()
         assert any("R^2" in n for n in res.notes)
         series = res.column("cumulative FS cases")
         assert series == sorted(series)
+        x = np.arange(1, len(series) + 1, dtype=float)
+        fit = ols_fit(x, np.asarray(series, dtype=float))
+        assert fit.r2 > 0.99, f"series must be linear, got R^2={fit.r2}"
+        assert fit.a > 0
 
     def test_fig8_columns(self, suite):
+        """Paper claim: measured, modeled and predicted coincide for the
+        innermost-parallel heat kernel."""
         res = suite.run_fig8()
         assert res.columns == ("threads", "measured %", "modeled %", "predicted %")
         assert len(res.rows) == len(suite.scale.threads)
+        for T, measured, modeled, predicted in res.rows:
+            assert abs(modeled - predicted) < 6, (
+                f"model and prediction must agree at T={T}"
+            )
+            assert abs(measured - modeled) < 20
+
+    def test_fig9_dft_series_coincide(self, suite):
+        """Paper claim: the same three series coincide for DFT."""
+        res = suite.run_fig9()
+        assert len(res.rows) == len(suite.scale.threads)
+        for T, measured, modeled, predicted in res.rows:
+            assert abs(modeled - predicted) < 6, (
+                f"model and prediction must agree at T={T}"
+            )
+            assert abs(measured - modeled) < 12
 
 
 class TestSuitePlumbing:
@@ -156,8 +213,14 @@ class TestSupplementaryDrivers:
         for row in res.rows:
             assert row[3] < row[2]  # every fix must beat the baseline
 
-    def test_run_supplementary_bundle(self, suite):
-        out = suite.run_supplementary()
-        assert [r.experiment for r in out] == [
+    def test_supplementary_jobs_bundle(self, suite):
+        """The runner's supplementary section: one engine job per
+        driver, results in driver order."""
+        from repro.analysis.experiments import SUPPLEMENTARY_DRIVERS
+        from repro.engine import Engine
+
+        jobs = suite.experiment_jobs(SUPPLEMENTARY_DRIVERS)
+        docs = Engine(jobs=1, use_cache=False).run_strict(jobs)
+        assert [ExperimentResult.from_dict(d).experiment for d in docs] == [
             "Supp. victims", "Supp. baseline", "Supp. mitigation"
         ]

@@ -45,6 +45,23 @@ UNREAD_FLAGS = [
     ("optimize", "--chunk"),
 ]
 
+#: Count flags given a value that is not an integer >= 1: each must stop
+#: in argparse with exit 2, before any file is read or cell evaluated.
+BAD_COUNTS = [
+    ["analyze", "f.c", "-t", "0"],
+    ["analyze", "f.c", "-c", "0"],
+    ["analyze", "f.c", "--cores", "0"],
+    ["predict", "f.c", "--runs", "0"],
+    ["optimize", "f.c", "--runs", "-1"],
+    ["sweep", "f.c", "--threads-list", "a"],
+    ["sweep", "f.c", "--threads-list", "0"],
+    ["sweep", "f.c", "--chunks-list", "1,0"],
+    ["sweep", "f.c", "--jobs", "-3"],
+    ["experiments", "-j", "0"],
+    ["trace", "f.c", "--max-steps", "-5"],
+    ["runner", "out.md", "--jobs", "0"],
+]
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -63,8 +80,22 @@ class TestParser:
             "--jobs", "2", "--no-cache", "--fail-fast",
             "--max-failure-rate", "0.5",
         ])
-        assert args.threads_list == "2,4,8" and args.chunks_list == "1,2,4,8,16"
+        assert args.threads_list == (2, 4, 8)
+        assert args.chunks_list == (1, 2, 4, 8, 16)
         assert (args.jobs, args.no_cache, args.keep_going) == (2, True, False)
+
+    @pytest.mark.parametrize("argv", BAD_COUNTS, ids=" ".join)
+    def test_count_below_one_is_a_usage_error(self, argv, capsys):
+        if argv[0] == "runner":
+            from repro.analysis.runner import _parse_args
+
+            parse = lambda: _parse_args(argv[1:])  # noqa: E731
+        else:
+            parse = lambda: main(argv)  # noqa: E731
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        assert exc.value.code == 2
+        assert "must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
     def test_unread_flag_is_rejected(self, command, flag, capsys):

@@ -381,3 +381,59 @@ class TestConsumerParity:
             machine, kernel, 2, constants=constants, engine=engine
         )
         assert parallel == serial
+
+
+# ---------------------------------------------------------------------------
+# One batch path: no engine still means one Engine.run per batch
+# ---------------------------------------------------------------------------
+
+
+class TestOneBatchPath:
+    """Called without an engine, every batch consumer evaluates its
+    cells through exactly one ``Engine.run`` on an inline, uncached
+    engine."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        original = Engine.run
+
+        def counting(engine, jobs, *args, **kwargs):
+            jobs = list(jobs)
+            calls.append(
+                (engine.jobs, engine.store, sorted({j.kind for j in jobs}),
+                 len(jobs))
+            )
+            return original(engine, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "run", counting)
+        return calls
+
+    def test_sweep(self, runs):
+        sweep = WhatIfSweep(paper_machine(num_cores=8), predictor_runs=4)
+        result = sweep.sweep(make_copy_nest(n=128), threads=(2, 4),
+                             chunks=(1, 2))
+        assert runs == [(1, None, ["whatif.point"], 4)]
+        assert result.reuse.computed == 4
+
+    def test_run_all(self, runs, monkeypatch):
+        import repro.analysis.experiments as experiments
+
+        monkeypatch.setattr(experiments, "DRIVER_ORDER",
+                            ("run_fig6", "run_table6"))
+        suite = experiments.ExperimentSuite(scale="tiny")
+        out = suite.run_all()
+        assert runs == [(1, None, ["experiment.driver"], 2)]
+        assert [r.experiment for r in out] == ["Fig. 6", "Table VI"]
+        assert suite.last_reuse.computed == 2
+
+    def test_sensitivity(self, runs):
+        from repro.analysis.sensitivity import sensitivity
+        from repro.kernels import heat_diffusion
+
+        entries = sensitivity(
+            paper_machine(), heat_diffusion(rows=6, cols=258), 2,
+            constants=("remote_fetch_cycles", "invalidate_cycles"),
+        )
+        assert runs == [(1, None, ["sensitivity.output"], 3)]
+        assert len(entries) == 2

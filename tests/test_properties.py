@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.machine import paper_machine
-from repro.model import FalseSharingModel, FSDetector, LRUStack
+from repro.model import FalseSharingModel, FSDetector
 from repro.sim import MulticoreSimulator
 from tests.conftest import make_copy_nest
 
@@ -57,6 +57,25 @@ class TestDetectorInvariants:
                 in_stack = any(l == line for l, _ in d.cache_state(t))
                 assert bool(mask & (1 << t)) == in_stack
 
+    @given(traces, st.integers(1, 8))
+    @settings(max_examples=60)
+    def test_capacity_never_exceeded(self, trace, capacity):
+        """No thread's cache state ever holds more lines than its LRU
+        stack capacity."""
+        d = FSDetector(4, capacity)
+        for t, line, w in trace:
+            d.access(t, line, w)
+            assert max(d.stack_sizes()) <= capacity
+
+    @given(traces)
+    @settings(max_examples=40)
+    def test_mru_is_last_accessed(self, trace):
+        """The accessing thread's MRU line is the line it just touched."""
+        d = FSDetector(4, 8)
+        for t, line, w in trace:
+            d.access(t, line, w)
+            assert d.cache_state(t)[0][0] == line
+
     @given(traces)
     @settings(max_examples=40)
     def test_disjoint_lines_no_fs(self, trace):
@@ -76,27 +95,6 @@ class TestDetectorInvariants:
             d.access(t, line, w)
             assert d.stats.fs_cases >= last
             last = d.stats.fs_cases
-
-
-class TestLRUStackInvariants:
-    @given(
-        st.lists(st.tuples(st.integers(0, 30), st.booleans()), max_size=200),
-        st.integers(1, 8),
-    )
-    @settings(max_examples=60)
-    def test_capacity_never_exceeded(self, accesses, capacity):
-        s = LRUStack(capacity)
-        for line, w in accesses:
-            s.access(line, w)
-            assert len(s) <= capacity
-
-    @given(st.lists(st.tuples(st.integers(0, 30), st.booleans()), max_size=200))
-    @settings(max_examples=40)
-    def test_mru_is_last_accessed(self, accesses):
-        s = LRUStack(8)
-        for line, w in accesses:
-            s.access(line, w)
-            assert s.stack()[0][0] == line
 
 
 class TestModelProperties:

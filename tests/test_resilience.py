@@ -470,6 +470,63 @@ class TestSweepPartialResults:
         assert result.failures == ()
         assert len(result.degraded_points) >= 1
 
+    def test_inline_sweep_counts_each_fallback_once(
+        self, small_machine, tmp_path
+    ):
+        """At ``jobs=1`` the ladder counts each degraded point where it
+        runs; the sweep adds only the store-served ones."""
+        from repro.engine import Engine, ResultStore
+
+        nest = make_copy_nest(n=1024)
+        sweep = WhatIfSweep(
+            small_machine, use_predictor=False, predictor_runs=4
+        )
+        grid = dict(threads=(2, 4), chunks=(1, 4), budget=Budget(max_steps=64))
+        store = ResultStore(tmp_path)
+        before = _counter_value("resilience_fallbacks_total", level="regression")
+        cold = sweep.sweep(nest, engine=Engine(jobs=1, store=store), **grid)
+        assert [p.fidelity for p in cold.points] == ["regression"] * 4
+        after_cold = _counter_value(
+            "resilience_fallbacks_total", level="regression"
+        )
+        assert after_cold == before + 4
+        warm = sweep.sweep(nest, engine=Engine(jobs=1, store=store), **grid)
+        assert warm.reuse.disk_hits == 4
+        assert _counter_value(
+            "resilience_fallbacks_total", level="regression"
+        ) == after_cold + 4
+
+    def test_strict_sweep_raises_the_engine_error(self, small_machine):
+        nest = make_copy_nest(n=256, name="copystrict.i")
+        sweep = WhatIfSweep(small_machine, predictor_runs=4)
+        with install_plan(FaultPlan.parse("engine.job:raise:match=t4c8")):
+            with pytest.raises(EngineError) as exc:
+                sweep.sweep(nest, threads=(2, 4), chunks=(1, 8))
+        assert exc.value.code == "REPRO-X901"
+
+    def test_keep_going_isolates_any_exception(
+        self, small_machine, monkeypatch
+    ):
+        import repro.model.whatif as whatif
+
+        real = whatif.evaluate_point
+
+        def flaky(machine, nest, threads, chunk, **kwargs):
+            if (threads, chunk) == (4, 8):
+                raise ZeroDivisionError("not a ReproError")
+            return real(machine, nest, threads, chunk, **kwargs)
+
+        monkeypatch.setattr(whatif, "evaluate_point", flaky)
+        policy = FailurePolicy(keep_going=True, max_failure_rate=1.0)
+        result = WhatIfSweep(small_machine, predictor_runs=4).sweep(
+            make_copy_nest(n=256), threads=(2, 4), chunks=(1, 8),
+            policy=policy,
+        )
+        assert len(result.points) == 3
+        (failure,) = result.failures
+        assert failure.point == {"threads": 4, "chunk": 8}
+        assert "ZeroDivisionError" in failure.message
+
     def test_engine_sweep_isolates_injected_failures(self, small_machine):
         from repro.engine import Engine
 

@@ -40,12 +40,29 @@ class TestDeviations:
 
 
 class TestRunnerMain:
-    @staticmethod
-    def _fake_suite(monkeypatch, fail_driver: str | None = None):
-        """Stub the suite with two named drivers to keep main() fast."""
+    KIND = "runner.test.driver"
+
+    @classmethod
+    def _fake_suite(cls, monkeypatch, fail_driver: str | None = None):
+        """Stub the suite with two named drivers to keep main() fast.
+
+        The stub's drivers are engine jobs of a test kind, so main()
+        evaluates them through the same ``Engine.run`` as the real ones.
+        """
         import repro.analysis.runner as runner
+        import repro.engine.job as job_module
+        from repro.engine import Job, register_runner
 
         results = {"run_table1": fake_results()[0], "run_fig6": fake_results()[1]}
+
+        def run_driver_job(job):
+            name = job.spec["driver"]
+            if name == fail_driver:
+                raise RuntimeError("boom")
+            return results[name].to_dict()
+
+        monkeypatch.setattr(job_module, "_RUNNERS", dict(job_module._RUNNERS))
+        register_runner(cls.KIND, run_driver_job)
 
         class FakeSuite:
             def __init__(self, scale, detector_engine="fast",
@@ -54,10 +71,8 @@ class TestRunnerMain:
                 assert detector_engine in ("fast", "reference")
                 assert isinstance(steady_state, bool)
 
-            def run_driver(self, name):
-                if name == fail_driver:
-                    raise RuntimeError("boom")
-                return results[name]
+            def experiment_jobs(self, drivers):
+                return [Job(cls.KIND, {"driver": name}) for name in drivers]
 
         monkeypatch.setattr(runner, "ExperimentSuite", FakeSuite)
         monkeypatch.setattr(runner, "DRIVER_ORDER", ("run_table1", "run_fig6"))
@@ -69,8 +84,11 @@ class TestRunnerMain:
         out = tmp_path / "EXP.md"
         assert runner.main([str(out), "--no-cache"]) == 0
         assert "Table I" in out.read_text()
-        # Per-experiment wall times are reported as the run goes.
-        assert "[runner] run_table1" in capsys.readouterr().out
+        # Per-experiment wall times are reported as the run goes, and
+        # the reuse line is printed on uncached runs too.
+        stdout = capsys.readouterr().out
+        assert "[runner] run_table1" in stdout
+        assert "[runner] reuse: 0% reused (disk 0 / dedupe 0) of 2 cells" in stdout
 
     def test_failing_driver_exits_nonzero_but_writes_rest(
         self, tmp_path, monkeypatch, capsys
@@ -80,4 +98,6 @@ class TestRunnerMain:
         assert runner.main([str(out), "--no-cache"]) == 1
         text = out.read_text()
         assert "Fig. 6" in text  # the healthy driver still made the doc
+        assert "### Table I" not in text
         assert "boom" in capsys.readouterr().err
+

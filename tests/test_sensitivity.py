@@ -56,12 +56,3 @@ class TestSensitivity:
         with pytest.raises(ValueError):
             sensitivity(machine, kernel, perturbation=1.5)
 
-    def test_custom_output_fn(self, machine, kernel):
-        entries = sensitivity(
-            machine, kernel, threads=2,
-            constants=("remote_fetch_cycles",),
-            output_fn=lambda m, k, t: float(m.coherence.remote_fetch_cycles),
-        )
-        (e,) = entries
-        # Output == the constant itself: elasticity exactly 1.
-        assert e.elasticity == pytest.approx(1.0)

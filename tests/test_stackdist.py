@@ -1,15 +1,10 @@
-"""Unit + property tests for the LRU stack and stack-distance analyzer."""
+"""Unit + property tests for the stack-distance analyzer."""
 
-import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.model.stackdist import (
-    DistanceHistogram,
-    LRUStack,
-    MODIFIED,
-    SHARED,
-    StackDistanceAnalyzer,
-)
+from repro.model import FSDetector, make_detector
+from repro.model.stackdist import DistanceHistogram, StackDistanceAnalyzer
 
 
 def brute_force_distance(trace: list[int]) -> list:
@@ -26,76 +21,6 @@ def brute_force_distance(trace: list[int]) -> list:
         else:
             out.append(len(set(trace[prev + 1 : idx])))
     return out
-
-
-class TestLRUStack:
-    def test_hit_and_miss(self):
-        s = LRUStack(4)
-        hit, ev = s.access(1, False)
-        assert not hit and ev is None
-        hit, _ = s.access(1, False)
-        assert hit
-
-    def test_eviction_order(self):
-        s = LRUStack(2)
-        s.access(1, False)
-        s.access(2, False)
-        _, evicted = s.access(3, False)
-        assert evicted == 1
-
-    def test_touch_refreshes_lru(self):
-        s = LRUStack(2)
-        s.access(1, False)
-        s.access(2, False)
-        s.access(1, False)  # 1 becomes MRU
-        _, evicted = s.access(3, False)
-        assert evicted == 2
-
-    def test_write_marks_modified(self):
-        s = LRUStack(4)
-        s.access(5, True)
-        assert s.state(5) == MODIFIED
-
-    def test_read_preserves_dirty(self):
-        s = LRUStack(4)
-        s.access(5, True)
-        s.access(5, False)
-        assert s.state(5) == MODIFIED
-
-    def test_read_inserts_shared(self):
-        s = LRUStack(4)
-        s.access(5, False)
-        assert s.state(5) == SHARED
-
-    def test_invalidate(self):
-        s = LRUStack(4)
-        s.access(5, True)
-        assert s.invalidate(5)
-        assert 5 not in s
-        assert not s.invalidate(5)
-
-    def test_downgrade(self):
-        s = LRUStack(4)
-        s.access(5, True)
-        assert s.downgrade(5)
-        assert s.state(5) == SHARED
-        assert not s.downgrade(5)
-
-    def test_stack_order_mru_first(self):
-        s = LRUStack(4)
-        for line in (1, 2, 3):
-            s.access(line, False)
-        assert [line for line, _ in s.stack()] == [3, 2, 1]
-
-    def test_capacity_one(self):
-        s = LRUStack(1)
-        s.access(1, False)
-        _, ev = s.access(2, False)
-        assert ev == 1 and len(s) == 1
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            LRUStack(0)
 
 
 class TestStackDistanceAnalyzer:
@@ -120,18 +45,37 @@ class TestStackDistanceAnalyzer:
     def test_matches_brute_force(self, trace):
         assert StackDistanceAnalyzer().distances(trace) == brute_force_distance(trace)
 
-    @given(st.lists(st.integers(0, 8), min_size=1, max_size=80),
-           st.integers(1, 10))
+    @given(
+        st.integers(1, 3).flatmap(lambda refs: st.tuples(
+            st.lists(
+                st.lists(st.integers(0, 8), min_size=refs, max_size=refs),
+                min_size=1, max_size=40,
+            ),
+            st.lists(st.booleans(), min_size=refs, max_size=refs),
+        )),
+        st.integers(1, 10),
+    )
     @settings(max_examples=60)
-    def test_lru_hit_iff_distance_below_capacity(self, trace, capacity):
-        """The classic identity: LRU(C) hits exactly when distance < C."""
-        stack = LRUStack(capacity)
-        analyzer = StackDistanceAnalyzer()
-        for line in trace:
-            dist = analyzer.access(line)
-            hit, _ = stack.access(line, False)
-            expected = dist is not None and dist < capacity
-            assert hit == expected
+    def test_lru_hit_iff_distance_below_capacity(self, block, capacity):
+        """The classic identity, on the model's own cache state: a
+        thread's LRU state of C lines misses exactly when the access's
+        stack distance is cold or >= C.  Checked per access on the
+        reference detector and per block on the fast one, with mixed
+        reads and writes."""
+        rows, writes = block
+        trace = [(line, w) for row in rows for line, w in zip(row, writes)]
+        distances = StackDistanceAnalyzer().distances(
+            [line for line, _ in trace]
+        )
+        expected = [d is None or d >= capacity for d in distances]
+        reference = FSDetector(1, capacity)
+        for (line, is_write), miss in zip(trace, expected):
+            before = reference.stats.misses
+            reference.access(0, line, is_write)
+            assert (reference.stats.misses > before) == miss
+        fast = make_detector("fast", 1, capacity)
+        fast.process_block([np.array(rows, dtype=np.int64)], np.array(writes))
+        assert fast.stats.misses == sum(expected)
 
 
 class TestDistanceHistogram:

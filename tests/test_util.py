@@ -4,7 +4,7 @@ import logging
 
 import pytest
 
-from repro.util import Timer, ceil_div, get_logger, is_power_of_two, popcount
+from repro.util import ceil_div, get_logger, is_power_of_two, popcount
 
 
 class TestCeilDiv:
@@ -52,24 +52,6 @@ class TestIsPowerOfTwo:
     @pytest.mark.parametrize("x", [0, 3, 6, 63, 65, -4])
     def test_non_powers(self, x):
         assert not is_power_of_two(x)
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            pass
-        assert t.elapsed >= first >= 0.0
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            sum(range(100))
-        t.reset()
-        assert t.elapsed == 0.0
 
 
 class TestLogger:

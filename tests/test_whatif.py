@@ -5,6 +5,7 @@ import pytest
 from repro.kernels import build_linreg_nest
 from repro.machine import paper_machine
 from repro.model import WhatIfSweep
+from repro.resilience import ModelError
 from tests.conftest import make_copy_nest
 
 
@@ -70,3 +71,8 @@ class TestSweep:
         result = sweep.sweep(make_copy_nest(n=64), threads=(2,), chunks=(1,))
         with pytest.raises(ValueError):
             result.best_chunk_for(16)
+
+
+def test_unknown_detector_engine_rejected_at_construction():
+    with pytest.raises(ModelError, match="unknown detector engine"):
+        WhatIfSweep(paper_machine(), detector_engine="turbo")
