@@ -13,7 +13,9 @@ row log must show:
   byte-identical, at the same offset after recovery;
 * **zero duplicated cells** — each grid cell appears exactly once,
   and the grid is complete;
-* exactly one terminal ``summary`` row with status ``done``.
+* exactly one terminal ``summary`` row with status ``done``;
+* no orphaned engine worker: the daemon's two pool workers are gone
+  within 5 s of each kill.
 
 Cells are slowed with an ``engine.job`` latency fault so each kill
 reliably lands in the middle of the sweep, and the result store is
@@ -48,6 +50,26 @@ def _heat_source() -> str:
     return heat_source(6, 130)
 
 
+def _children(pid: int) -> set[int]:
+    """Pids of the child processes of ``pid``, over all its threads."""
+    kids: set[int] = set()
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            kids.update(int(p) for p in path.read_text().split())
+        except OSError:  # the thread exited meanwhile
+            pass
+    return kids
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _spawn_daemon(port: int, workdir: Path, delay_s: float,
                   log: Path) -> subprocess.Popen:
     env = dict(os.environ)
@@ -60,7 +82,7 @@ def _spawn_daemon(port: int, workdir: Path, delay_s: float,
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--host", "127.0.0.1", "--port", str(port),
-             "--workers", "1", "--concurrency", "1",
+             "--workers", "2", "--concurrency", "1",
              "--batch-cells", "1", "--no-cache",
              "--journal-dir", str(workdir / "journal"),
              "--store-dir", str(workdir / "store")],
@@ -122,9 +144,18 @@ def run_soak(
                     )
                 time.sleep(0.1)
 
+            workers = _children(daemon.pid)
+            assert len(workers) == 2, f"daemon children: {workers}"
             daemon.send_signal(signal.SIGKILL)
             daemon.wait(timeout=30)
             verdict["kills"] = round_no
+            # The killed daemon's workers must not outlive it.
+            orphan_deadline = time.monotonic() + 5.0
+            while (any(map(_alive, workers))
+                   and time.monotonic() < orphan_deadline):
+                time.sleep(0.1)
+            left = sorted(p for p in workers if _alive(p))
+            assert not left, f"workers outlived kill #{round_no}: {left}"
             daemon = _spawn_daemon(port, workdir, delay_s, log)
             client.wait_ready(timeout_s=30)
 

@@ -9,11 +9,15 @@ promise:
 1. submit a small heat-kernel sweep over HTTP and stream its NDJSON
    results live (cells must carry fidelity tags; the terminal row is a
    summary);
-2. re-submit the identical sweep and require a warm run — every cell
+2. the engine's two worker processes outlive the job: a second, cold
+   grid runs on the same two pids (read from
+   ``/proc/<pid>/task/*/children``);
+3. re-submit the identical sweep and require a warm run — every cell
    served ``from_cache`` and the ``service_cells_total{status=
    "from_cache"}`` counter visible at ``/metrics`` in valid Prometheus
    text exposition;
-3. send SIGTERM and require a graceful drain: the process must exit 0.
+4. send SIGTERM and require a graceful drain: the process must exit 0
+   and leave none of its workers alive.
 
 Exit status is nonzero on any violated expectation, so CI can gate on
 it directly.
@@ -35,6 +39,26 @@ def _heat_source() -> str:
     from repro.kernels import heat_source
 
     return heat_source(6, 130)
+
+
+def _children(pid: int) -> set[int]:
+    """Pids of the child processes of ``pid``, over all its threads."""
+    kids: set[int] = set()
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            kids.update(int(p) for p in path.read_text().split())
+        except OSError:  # the thread exited meanwhile
+            pass
+    return kids
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,7 +114,20 @@ def main(argv: list[str] | None = None) -> int:
             "from_cache": sum(1 for c in cells if c["from_cache"]),
         }
 
-        # 2. warm re-submit: >= 90% cache-served, counter at /metrics
+        # 2. the pool persists: a second cold grid, the same workers
+        workers = _children(daemon.pid)
+        assert len(workers) == 2, f"daemon children after a job: {workers}"
+        other = client.wait(
+            client.submit(source, threads=[2, 4], chunks=[2, 8])["id"],
+            timeout_s=120,
+        )
+        assert other["status"] == "done", other
+        assert other["cells"]["from_cache"] == 0, other["cells"]
+        again = _children(daemon.pid)
+        assert again == workers, f"workers {workers} replaced by {again}"
+        verdict["workers"] = sorted(workers)
+
+        # 3. warm re-submit: >= 90% cache-served, counter at /metrics
         job2 = client.submit(source, **grid)
         final = client.wait(job2["id"], timeout_s=120)
         done = final["cells"]["done"]
@@ -107,11 +144,13 @@ def main(argv: list[str] | None = None) -> int:
         verdict["warm"] = {"cells": done, "from_cache": cached,
                            "metrics_counter": counter}
 
-        # 3. SIGTERM -> graceful drain -> exit 0
+        # 4. SIGTERM -> graceful drain -> exit 0, no worker left behind
         daemon.send_signal(signal.SIGTERM)
         rc = daemon.wait(timeout=60)
         assert rc == 0, f"daemon exited {rc}, wanted 0"
         verdict["drain_exit_code"] = rc
+        left = sorted(p for p in workers if _alive(p))
+        assert not left, f"workers alive after the drain: {left}"
     finally:
         if daemon.poll() is None:
             daemon.kill()

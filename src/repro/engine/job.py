@@ -89,6 +89,7 @@ BUILTIN_RUNNERS: dict[str, str] = {
     "engine.test.sleep": "repro.engine.job:_run_sleep",
     "engine.test.crash": "repro.engine.job:_run_crash",
     "engine.test.flaky_crash": "repro.engine.job:_run_flaky_crash",
+    "engine.test.pid": "repro.engine.job:_run_pid",
 }
 
 _RUNNERS: dict[str, Callable[[Job], dict]] = {}
@@ -163,6 +164,16 @@ def _run_sleep(job: Job) -> dict:
 
     time.sleep(float(job.spec["seconds"]))
     return {"slept": job.spec["seconds"]}
+
+
+def _run_pid(job: Job) -> dict:
+    """Report the pid of the process that ran the job, after sleeping
+    ``seconds`` (so every worker of a pool takes one of a few jobs)."""
+    import os
+    import time
+
+    time.sleep(float(job.spec.get("seconds", 0.0)))
+    return {"pid": os.getpid()}
 
 
 def _run_crash(job: Job) -> dict:

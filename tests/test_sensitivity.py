@@ -8,7 +8,7 @@ from repro.analysis.sensitivity import (
     _with_constant,
     sensitivity,
 )
-from repro.kernels import heat_diffusion
+from repro.kernels import dft, heat_diffusion
 from repro.machine import paper_machine
 
 
@@ -56,3 +56,39 @@ class TestSensitivity:
         with pytest.raises(ValueError):
             sensitivity(machine, kernel, perturbation=1.5)
 
+
+
+@pytest.fixture(scope="module")
+def elasticities(machine):
+    """Elasticity per constant at T=4 for heat 6×1026 and DFT 4×768."""
+    kernels = {
+        "heat": heat_diffusion(rows=6, cols=1026),
+        "dft": dft(samples=4, freqs=768),
+    }
+    return {
+        name: {e.constant: e.elasticity for e in sensitivity(machine, k, 4)}
+        for name, k in kernels.items()
+    }
+
+
+class TestElasticityClaims:
+    """The constants move the modeled FS% the way the physics says."""
+
+    def test_dft_is_read_penalty_driven(self, elasticities):
+        # DFT's FS is read-type: the read transfer drives it, the
+        # invalidation does not (heat's ordering is the opposite).
+        dft_e = elasticities["dft"]
+        assert abs(dft_e["remote_fetch_cycles"]) > abs(
+            dft_e["invalidate_cycles"]
+        )
+
+    def test_dft_call_latency_dilutes(self, elasticities):
+        # Trig compute dilutes DFT's percentage: more call latency, a
+        # smaller FS share.
+        assert elasticities["dft"]["call_latency"] < 0
+
+    def test_every_elasticity_bounded(self, elasticities):
+        # Nothing explodes (|e| <= 1 is proportional).
+        for per_constant in elasticities.values():
+            for value in per_constant.values():
+                assert abs(value) < 1.5
