@@ -243,7 +243,8 @@ class Engine:
         return outcomes  # type: ignore[return-value]
 
     def close(self) -> None:
-        """Drain the worker pool: finish in-flight jobs, cancel pending.
+        """Drain the worker pool: finish in-flight jobs, cancel pending,
+        then let the worker processes exit.
 
         The shutdown half of the service's SIGTERM contract; see
         :meth:`repro.engine.pool.WorkerPool.close`.  Idempotent, safe

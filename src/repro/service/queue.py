@@ -559,7 +559,8 @@ class JobQueue:
 
         The engine pool is closed *after* the workers notice the drain,
         so the batch each worker has in flight completes with real
-        results; anything later resolves as ``REPRO-E104``.  The parked
+        results; anything later resolves as ``REPRO-E104``.  Closing the
+        pool also ends its worker processes, once no batch runs.  The parked
         jobs are already durable in the journal, which the next boot
         replays.
         """
