@@ -92,30 +92,18 @@ class ExperimentSuite(SupplementaryMixin):
         Machine description; defaults to the paper's 48-core preset.
     scale:
         ``"full"`` or ``"tiny"`` (see module docstring).
-    detector_engine:
-        Detector engine for every modeled table/figure: ``"fast"``
-        (default) or ``"reference"``.  Both produce bit-identical
-        tables; the knob exists for benchmarking and cross-checking.
-    steady_state:
-        Enable the exact steady-state early exit (default ``True``).
     """
 
     def __init__(
         self,
         machine: MachineConfig | None = None,
         scale: str = "full",
-        detector_engine: str = "fast",
-        steady_state: bool = True,
     ) -> None:
         if scale not in SCALES:
             raise ValueError(f"unknown scale {scale!r}; use one of {set(SCALES)}")
         self.machine = machine or paper_machine()
         self.scale = SCALES[scale]
-        self.detector_engine = detector_engine
-        self.steady_state = steady_state
-        self.model = FalseSharingModel(
-            self.machine, engine=detector_engine, steady_state=steady_state,
-        )
+        self.model = FalseSharingModel(self.machine)
         self.sim = MulticoreSimulator(self.machine)
         self.total_model = TotalCostModel(self.machine)
         # Refreshed by run_all(): provenance of the last suite run
@@ -394,15 +382,7 @@ class ExperimentSuite(SupplementaryMixin):
         """One engine job per driver, each reconstructing the suite in
         its worker from (machine, scale)."""
         machine_key = self.machine.to_key_dict()
-        # Engine knobs ride in the payload, never the hashed spec: all
-        # detector engines are result-identical, so the cache key must
-        # not fork on them (a table computed under "reference" serves a
-        # "fast" re-run and vice versa).
-        payload = {
-            "machine": self.machine,
-            "detector_engine": self.detector_engine,
-            "steady_state": self.steady_state,
-        }
+        payload = {"machine": self.machine}
         jobs = []
         for name in drivers if drivers is not None else DRIVER_ORDER:
             spec = {
@@ -494,10 +474,5 @@ def run_experiment_job(job) -> dict:
     runs one driver, and returns the result's JSON form.
     """
     machine: MachineConfig = job.payload["machine"]
-    suite = ExperimentSuite(
-        machine=machine,
-        scale=str(job.spec["scale"]),
-        detector_engine=str(job.payload.get("detector_engine", "fast")),
-        steady_state=bool(job.payload.get("steady_state", True)),
-    )
+    suite = ExperimentSuite(machine=machine, scale=str(job.spec["scale"]))
     return suite.run_driver(str(job.spec["driver"])).to_dict()

@@ -42,9 +42,8 @@ Every analysis subcommand accepts ``--profile TRACE.json`` /
 ``REPRO_METRICS`` environment variables) — see docs/OBSERVABILITY.md.
 Each subcommand takes only the flag groups it reads:
 
-* model flags ``--mode`` / ``--engine`` / ``--no-steady-state``: every
-  analysis subcommand except ``optimize`` and ``trace`` (``experiments``
-  takes ``--engine`` / ``--no-steady-state``);
+* model flag ``--mode``: every analysis subcommand except ``optimize``,
+  ``trace`` and ``experiments``;
 * budget flags (docs/RESILIENCE.md) ``--deadline SECONDS`` /
   ``--max-iters N``: ``analyze``, ``predict``, ``profile`` and
   ``sweep``, which build a :class:`repro.resilience.Budget` for every
@@ -56,6 +55,11 @@ Each subcommand takes only the flag groups it reads:
   (default; isolates per-file and per-point failures into structured
   reports) / ``--fail-fast`` (aborts on the first one) /
   ``--max-failure-rate``.
+
+No flag picks the detector: every subcommand that runs the model runs
+the fast detector with the exact steady-state exit.  The scalar oracles
+it is checked against are library options
+(``FalseSharingModel(engine="reference", steady_state=False)``).
 
 A warm re-run, or one after editing one kernel of several, is served
 from the content-addressed result store: only cells whose nest digest
@@ -75,7 +79,7 @@ from repro.costmodels import TotalCostModel
 from repro.frontend import parse_c_source
 from repro.ir import analyze_dependences
 from repro.machine import paper_machine
-from repro.model import ENGINES, FalseSharingModel, FalseSharingPredictor
+from repro.model import FalseSharingModel, FalseSharingPredictor
 from repro.resilience import Budget, FailurePolicy, FailureReport, ReproError
 from repro.transform import ChunkSizeOptimizer
 
@@ -108,7 +112,7 @@ def _add_common(
     budget: bool = True,
 ) -> None:
     """Input, machine and observability flags, plus the groups the
-    subcommand reads: ``--chunk``, the model flags and the budget."""
+    subcommand reads: ``--chunk``, ``--mode`` and the budget."""
     p.add_argument("file", nargs="+", metavar="FILE",
                    help="C source file(s) with OpenMP parallel loops")
     p.add_argument("--threads", "-t", type=positive_int, default=None,
@@ -132,29 +136,8 @@ def _add_common(
                    help="write the metrics registry at exit; format by "
                         "extension: .json dump, .csv table, or .prom "
                         "Prometheus text exposition")
-    if model:
-        _add_model_flags(p)
     if budget:
         _add_budget_flags(p)
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=ENGINES, default="fast",
-                   dest="detector_engine",
-                   help="FS detector engine (default fast: the vectorized "
-                        "detector; reference pins the scalar oracle; both "
-                        "produce bit-identical results)")
-    p.add_argument("--no-steady-state", action="store_true",
-                   help="disable the exact steady-state early exit "
-                        "(slower on large grids; identical results)")
-
-
-def _model_kwargs(args: argparse.Namespace) -> dict:
-    """Engine knobs shared by every model-building command."""
-    return {
-        "engine": args.detector_engine,
-        "steady_state": not args.no_steady_state,
-    }
 
 
 def _add_batch_flags(p: argparse.ArgumentParser) -> None:
@@ -283,7 +266,7 @@ def _threads_for(args: argparse.Namespace, kernel) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     machine = paper_machine(num_cores=args.cores)
-    model = FalseSharingModel(machine, mode=args.mode, **_model_kwargs(args))
+    model = FalseSharingModel(machine, mode=args.mode)
     total_model = TotalCostModel(machine)
     budget = _budget_from(args)
     for k in _load_kernels(args):
@@ -316,7 +299,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     machine = paper_machine(num_cores=args.cores)
-    model = FalseSharingModel(machine, mode=args.mode, **_model_kwargs(args))
+    model = FalseSharingModel(machine, mode=args.mode)
     predictor = FalseSharingPredictor(model, n_runs=args.runs)
     budget = _budget_from(args)
     for k in _load_kernels(args):
@@ -346,10 +329,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.analysis import ExperimentSuite
 
-    kwargs = _model_kwargs(args)
-    suite = ExperimentSuite(scale=args.scale,
-                            detector_engine=kwargs["engine"],
-                            steady_state=kwargs["steady_state"])
+    suite = ExperimentSuite(scale=args.scale)
     policy = _policy_from(args)
     results = list(suite.run_all(engine=_engine_from(args), policy=policy))
     for res in results:
@@ -376,7 +356,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     from repro.model import diagnose
 
     machine = paper_machine(num_cores=args.cores)
-    model = FalseSharingModel(machine, mode=args.mode, **_model_kwargs(args))
+    model = FalseSharingModel(machine, mode=args.mode)
     for k in _load_kernels(args):
         result = model.analyze(k.nest, _threads_for(args, k), chunk=args.chunk)
         print(diagnose(result).to_text())
@@ -404,11 +384,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.model import WhatIfSweep
 
     machine = paper_machine(num_cores=args.cores)
-    kwargs = _model_kwargs(args)
     sweep = WhatIfSweep(machine, use_predictor=not args.exact,
-                        predictor_runs=args.runs, mode=args.mode,
-                        detector_engine=kwargs["engine"],
-                        steady_state=kwargs["steady_state"])
+                        predictor_runs=args.runs, mode=args.mode)
     engine = _engine_from(args)
     budget = _budget_from(args)
     policy = _policy_from(args)
@@ -524,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiments", help="regenerate the paper's experiments")
     p.add_argument("--scale", choices=("tiny", "full"), default="tiny")
-    _add_model_flags(p)
     _add_batch_flags(p)
     p.set_defaults(func=cmd_experiments)
 

@@ -201,13 +201,16 @@ class FalseSharingModel:
         Detector engine: ``"fast"`` (default — the vectorized detector,
         which falls back block by block to the scalar path where it
         must) or ``"reference"`` (the scalar oracle).  Both are
-        result-identical (see :mod:`repro.model.fastdetect`); this is a
-        pure performance knob.
+        result-identical (see :mod:`repro.model.fastdetect`).
     steady_state:
         Enable the exact steady-state early-exit (see
         :mod:`repro.model.steadystate`).  Only engages on full-loop
         analyses of eligible nests that are long enough and evict
         lines, where it can extrapolate; also result-identical.
+
+    Every CLI command, the experiments runner and the service build the
+    default model; ``engine="reference", steady_state=False`` is the
+    oracle that tests and benchmarks check it against.
     """
 
     def __init__(
@@ -245,8 +248,6 @@ class FalseSharingModel:
         record_series: bool = False,
         space: AddressSpace | None = None,
         budget: Budget | None = None,
-        engine: str | None = None,
-        steady_state: bool | None = None,
     ) -> FSModelResult:
         """Run the full FS analysis.
 
@@ -276,10 +277,6 @@ class FalseSharingModel:
             (``REPRO-R002``).  A budgeted caller that wants graceful
             degradation instead of an exception should go through
             :func:`repro.resilience.ladder.analyze_with_ladder`.
-        engine:
-            Per-call override of the model's detector engine knob.
-        steady_state:
-            Per-call override of the steady-state early-exit flag.
 
         Notes
         -----
@@ -308,10 +305,6 @@ class FalseSharingModel:
             result, steady = self._analyze(
                 nest, num_threads, max_chunk_runs, record_series, space,
                 budget, gen,
-                engine=self.engine if engine is None else engine,
-                steady_state=(
-                    self.steady_state if steady_state is None else steady_state
-                ),
             )
             sp.set(
                 chunk=result.chunk, fs_cases=result.fs_cases,
@@ -421,8 +414,6 @@ class FalseSharingModel:
         space: AddressSpace | None,
         budget: Budget | None = None,
         gen: OwnershipListGenerator | None = None,
-        engine: str = "fast",
-        steady_state: bool = True,
     ) -> tuple[FSModelResult, str]:
         """The analysis, and why the steady-state runner did or did not
         run: ``"off"``, ``"prefix"`` or :func:`steady_state_runner`'s
@@ -444,7 +435,7 @@ class FalseSharingModel:
         if max_chunk_runs is not None:
             max_steps = max_chunk_runs * steps_per_run
         detector = make_detector(
-            engine,
+            self.engine,
             num_threads,
             self.machine.model_stack_lines,
             mode=self.mode,
@@ -454,7 +445,7 @@ class FalseSharingModel:
         runs_extrapolated = 0
         series: list[int] | None = None
         steady_runner: SteadyStateRunner | None = None
-        if not steady_state:
+        if not self.steady_state:
             steady = "off"
         elif max_chunk_runs is not None:
             # A truncated prefix is the predictor's job.
@@ -516,7 +507,7 @@ class FalseSharingModel:
                 "detector_accesses_per_second",
                 "detector throughput of the last analysis (incl. "
                 "extrapolated accesses), by engine",
-            ).labels(kernel=nest.name, engine=engine).set(
+            ).labels(kernel=nest.name, engine=self.engine).set(
                 stats.accesses / elapsed
             )
         result = FSModelResult(
@@ -539,7 +530,7 @@ class FalseSharingModel:
             fidelity=(
                 "exact-steady-state" if runs_extrapolated > 0 else "exact"
             ),
-            engine=engine,
+            engine=self.engine,
             runs_simulated=runs_simulated,
             runs_extrapolated=runs_extrapolated,
         )
@@ -547,7 +538,7 @@ class FalseSharingModel:
             "FS analysis %s T=%d chunk=%d: %d cases in %d steps "
             "(%.3fs, engine=%s, %d runs extrapolated)",
             nest.name, num_threads, ispace.chunk, stats.fs_cases,
-            stats.steps, elapsed, engine, runs_extrapolated,
+            stats.steps, elapsed, self.engine, runs_extrapolated,
         )
         return result, steady
 

@@ -35,7 +35,6 @@ from repro.engine import (
 )
 from repro.ir.loops import ParallelLoopNest
 from repro.machine import MachineConfig
-from repro.model.fastdetect import ENGINES
 from repro.model.fsmodel import FalseSharingModel
 from repro.resilience.budget import Budget
 from repro.resilience.errors import ModelError
@@ -199,12 +198,10 @@ def evaluate_point(
     is deterministic: the predictor samples a fixed prefix of chunk
     runs, not a random subset.
 
-    ``detector_engine`` and ``steady_state`` select the detector
-    implementation (see :class:`FalseSharingModel`).  Both knobs are
-    *result-invariant* — every engine produces bit-identical counters —
-    so they deliberately do **not** participate in the engine cache key
-    (:meth:`WhatIfSweep.point_jobs` puts them in the job payload, not
-    the spec): a sweep cached under one engine is valid for all.
+    It is also the oracle entry point: ``detector_engine="reference",
+    steady_state=False`` evaluates the point with the scalar detector
+    and the plain walk (see :class:`FalseSharingModel`), which must
+    give the same :class:`SweepPoint` as the defaults every sweep runs.
 
     With a ``budget``, the evaluation goes through the degradation
     ladder (:func:`repro.resilience.ladder.analyze_with_ladder`): an
@@ -264,12 +261,6 @@ def run_point_job(job) -> dict:
         predictor_runs=int(job.spec["predictor_runs"]),
         mode=str(job.spec["mode"]),
         budget=Budget.from_key_dict(job.spec.get("budget")),
-        # Engine knobs ride in the payload (not the hashed spec):
-        # results are engine-invariant, so cache keys must not fork on
-        # them — a landscape computed with the fast path serves a
-        # reference-engine re-run and vice versa.
-        detector_engine=str(job.payload.get("detector_engine", "fast")),
-        steady_state=bool(job.payload.get("steady_state", True)),
     )
     return point.to_dict()
 
@@ -285,12 +276,6 @@ class WhatIfSweep:
         Use the LR predictor (default) or the full model per point.
     predictor_runs:
         Chunk runs sampled per point in predictor mode.
-    detector_engine:
-        Detector engine per point: ``"fast"`` (default) or
-        ``"reference"``.  Result-invariant, so it never enters the
-        engine cache key.
-    steady_state:
-        Enable the exact steady-state early exit (default ``True``).
     """
 
     def __init__(
@@ -299,20 +284,11 @@ class WhatIfSweep:
         use_predictor: bool = True,
         predictor_runs: int = 8,
         mode: str = "invalidate",
-        detector_engine: str = "fast",
-        steady_state: bool = True,
     ) -> None:
-        if detector_engine not in ENGINES:
-            raise ModelError(
-                f"unknown detector engine {detector_engine!r}; "
-                f"use one of {ENGINES}"
-            )
         self.machine = machine
         self.use_predictor = use_predictor
         self.predictor_runs = predictor_runs
         self.mode = mode
-        self.detector_engine = detector_engine
-        self.steady_state = steady_state
 
     def feasible_grid(
         self,
@@ -351,16 +327,7 @@ class WhatIfSweep:
         """
         digest = nest_digest(nest)
         machine_key = self.machine.to_key_dict()
-        # detector_engine / steady_state stay OUT of the spec (and
-        # therefore out of the cache key): both engines are
-        # result-identical, so forking the key on them would only
-        # defeat the result store.
-        payload = {
-            "machine": self.machine,
-            "nest": nest,
-            "detector_engine": self.detector_engine,
-            "steady_state": self.steady_state,
-        }
+        payload = {"machine": self.machine, "nest": nest}
         budget_key = budget.to_key_dict() if budget is not None else {}
         jobs = []
         for t, c in self.feasible_grid(nest, threads, chunks):

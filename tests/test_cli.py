@@ -24,7 +24,10 @@ def linreg_file(tmp_path):
 _BATCH = ("--jobs", "--no-cache", "--keep-going", "--fail-fast",
           "--max-failure-rate")
 _BUDGET = ("--deadline", "--max-iters")
-_MODEL = ("--engine", "--no-steady-state", "--mode")
+_MODEL = ("--mode",)
+#: Detector switches no entry point takes: every command runs the fast
+#: detector with the exact steady-state exit.
+_DETECTOR = ("--engine", "--no-steady-state")
 _FLAG_VALUES = {
     "--jobs": ("2",), "--max-failure-rate": ("0.5",), "--deadline": ("1",),
     "--max-iters": ("10",), "--engine": ("fast",), "--mode": ("literal",),
@@ -42,6 +45,10 @@ UNREAD_FLAGS = [
       for cmd in ("diagnose", "optimize", "trace", "experiments")
       for flag in _BUDGET),
     *((cmd, flag) for cmd in ("optimize", "trace") for flag in _MODEL),
+    *((cmd, flag)
+      for cmd in ("analyze", "predict", "optimize", "diagnose", "trace",
+                  "profile", "sweep", "experiments", "runner")
+      for flag in _DETECTOR),
     ("optimize", "--chunk"),
 ]
 
@@ -63,6 +70,16 @@ BAD_COUNTS = [
 ]
 
 
+def _parse(argv: list[str]):
+    """Parse one command line: ``runner ...`` with the EXPERIMENTS.md
+    runner's parser, anything else with the ``repro-fs`` parser."""
+    if argv[0] == "runner":
+        from repro.analysis.runner import _parse_args
+
+        return _parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -75,7 +92,6 @@ class TestParser:
     def test_sweep_takes_every_flag_group(self):
         args = build_parser().parse_args([
             "sweep", "f.c", "-t", "4", "-c", "2", "--mode", "literal",
-            "--engine", "reference", "--no-steady-state",
             "--deadline", "1", "--max-iters", "10",
             "--jobs", "2", "--no-cache", "--fail-fast",
             "--max-failure-rate", "0.5",
@@ -86,14 +102,8 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", BAD_COUNTS, ids=" ".join)
     def test_count_below_one_is_a_usage_error(self, argv, capsys):
-        if argv[0] == "runner":
-            from repro.analysis.runner import _parse_args
-
-            parse = lambda: _parse_args(argv[1:])  # noqa: E731
-        else:
-            parse = lambda: main(argv)  # noqa: E731
         with pytest.raises(SystemExit) as exc:
-            parse()
+            _parse(argv)
         assert exc.value.code == 2
         assert "must be an integer >= 1" in capsys.readouterr().err
 
@@ -102,7 +112,7 @@ class TestParser:
         argv = [command] if command == "experiments" else [command, "f.c"]
         argv += [flag, *_FLAG_VALUES.get(flag, ())]
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
+            _parse(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 

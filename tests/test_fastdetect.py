@@ -321,32 +321,3 @@ class TestModelLevelEquivalence:
         r2 = FalseSharingModel(machine, engine="reference").analyze(k.nest, 4)
         assert r2.engine == "reference"
         assert r.fs_cases == r2.fs_cases
-
-
-class TestCacheKeyInvariance:
-    """Engine knobs must not fork the engine's content-addressed cache:
-    all detector engines are result-identical, so a landscape computed
-    under one must be served to re-runs under any other."""
-
-    def _keys(self, **kwargs):
-        from repro.model import WhatIfSweep
-
-        sweep = WhatIfSweep(tiny_machine(), **kwargs)
-        k = heat_diffusion(rows=4, cols=258)
-        jobs = sweep.point_jobs(k.nest, threads=(2, 4), chunks=(1, 2))
-        return [j.key() for j in jobs], jobs
-
-    def test_engine_choice_does_not_change_job_keys(self):
-        base, _ = self._keys()
-        for kwargs in (
-            dict(detector_engine="fast"),
-            dict(detector_engine="reference"),
-            dict(steady_state=False),
-            dict(detector_engine="reference", steady_state=False),
-        ):
-            keys, jobs = self._keys(**kwargs)
-            assert keys == base, kwargs
-            for job in jobs:  # knobs travel in the (unhashed) payload
-                assert "detector_engine" not in job.spec
-                assert "steady_state" not in job.spec
-                assert "detector_engine" in job.payload

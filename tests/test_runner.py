@@ -65,11 +65,8 @@ class TestRunnerMain:
         register_runner(cls.KIND, run_driver_job)
 
         class FakeSuite:
-            def __init__(self, scale, detector_engine="fast",
-                         steady_state=True):
+            def __init__(self, scale):
                 assert scale in ("tiny", "full")
-                assert detector_engine in ("fast", "reference")
-                assert isinstance(steady_state, bool)
 
             def experiment_jobs(self, drivers):
                 return [Job(cls.KIND, {"driver": name}) for name in drivers]

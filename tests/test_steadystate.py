@@ -230,9 +230,10 @@ class TestSteadyStateEquivalence:
     def test_per_call_override(self):
         machine = tiny_machine(4, 64)
         k = heat_diffusion(rows=3, cols=1026)
-        model = FalseSharingModel(machine, steady_state=True)
-        r_off = model.analyze(k.nest, 4, chunk=1, steady_state=False)
-        r_on = model.analyze(k.nest, 4, chunk=1)
+        r_off = FalseSharingModel(machine, steady_state=False).analyze(
+            k.nest, 4, chunk=1
+        )
+        r_on = FalseSharingModel(machine).analyze(k.nest, 4, chunk=1)
         assert r_off.runs_extrapolated == 0
         assert r_on.runs_extrapolated > 0
         assert _result_state(r_off) == _result_state(r_on)
@@ -294,11 +295,12 @@ def _recorded_spans():
         tracer.reset()
 
 
-def _traced_default(machine, nest, threads, chunk, **kwargs):
-    """The default analysis, its ``steady_state`` span attribute, and
-    whether a ``model.steadystate`` span was emitted."""
+def _traced_default(machine, nest, threads, chunk, steady_state=True,
+                    **kwargs):
+    """The analysis, its ``steady_state`` span attribute, and whether a
+    ``model.steadystate`` span was emitted."""
     with _recorded_spans() as tracer:
-        r = FalseSharingModel(machine).analyze(
+        r = FalseSharingModel(machine, steady_state=steady_state).analyze(
             nest, threads, chunk=chunk, **kwargs
         )
         events = tracer.events()
