@@ -472,7 +472,9 @@ class JobQueue:
         self._draining = False
         self._threads: list[threading.Thread] = []
         self._sup_thread: threading.Thread | None = None
-        #: worker-thread name → monotonic timestamp of its last loop.
+        #: worker-thread name → monotonic timestamp of its last sign of
+        #: life: a loop iteration, or engine progress while it is in a
+        #: job (:meth:`_progress`).
         self._heartbeats: dict[str, float] = {}
         #: worker-thread name → job id it is currently executing.
         self._active: dict[str, str] = {}
@@ -674,6 +676,18 @@ class JobQueue:
         restart path end to end."""
         self._heartbeats[name] = time.monotonic()
         fault_point("worker.heartbeat", label=name)
+
+    def _progress(self) -> None:
+        """The engine started a batch or delivered a cell's outcome.
+
+        Every worker inside a job is either running that batch or
+        waiting its turn for the one engine, so each counts as alive: a
+        worker stalls only when no cell finishes for
+        ``heartbeat_timeout_s`` while a job runs, however long the job.
+        """
+        now = time.monotonic()
+        for name in list(self._active):
+            self._heartbeats[name] = now
 
     # -- journal plumbing ----------------------------------------------------
 
@@ -1072,6 +1086,7 @@ class JobQueue:
 
         def _on_outcome(outcome) -> None:
             nonlocal crashes
+            self._progress()
             spec = outcome.job.spec
             cell = {
                 "kernel": kernel_name,
@@ -1138,6 +1153,7 @@ class JobQueue:
                                      cell["chunk"]))
 
         with self._engine_lock:
+            self._progress()
             self.engine.run(
                 batch,
                 on_outcome=_on_outcome,

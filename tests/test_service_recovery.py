@@ -9,11 +9,13 @@ Covers the four resilience pillars end to end:
   failed with ``REPRO-E105`` while the pool keeps serving other
   tenants;
 * worker supervision — a dead queue-worker thread is restarted by the
-  supervisor and the queue keeps working;
+  supervisor and the queue keeps working; a stall means no cell
+  finished for the heartbeat timeout, not that a job is long;
 * journal-failure degradation — a journal that cannot write flips the
   service to ``degraded`` (shedding admission with ``REPRO-E106`` +
   ``Retry-After``) instead of taking jobs down, and recovers on the
-  first successful write.
+  first successful write; a full queue sheds the same way
+  (``queue-pressure``) until it drains.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import Engine
+from repro.kernels import heat_source
 from repro.resilience.errors import ServiceOverloadedError
 from repro.resilience.faults import FaultPlan, install_plan
 from repro.service import (
@@ -221,6 +224,77 @@ class TestSupervisor:
                 queue.drain()
 
 
+class TestHeartbeat:
+    def test_long_job_and_waiting_worker_keep_the_service_ready(
+        self, tmp_path
+    ):
+        # 84 exact heat cells of at most ~0.1 s each, about 3.5 s in
+        # all, as one engine batch: the job outlasts the 1 s heartbeat
+        # timeout many times over while a cell finishes every fraction
+        # of a second.  The second job's worker waits for the engine
+        # until that batch ends.
+        tenant = _tenant("t")
+        queue = JobQueue(
+            TenantRegistry([tenant]), Engine(jobs=1, use_cache=False),
+            Journal(tmp_path / "wal", fsync=False),
+            concurrency=2, batch_cells=128, heartbeat_timeout_s=1.0,
+            supervise_interval_s=0.05,
+        )
+        queue.start()
+        try:
+            long = queue.submit(tenant, JobRequest(
+                source=heat_source(16, 2050), exact=True,
+                threads=tuple(range(2, 9)), chunks=tuple(range(1, 13))))
+            t0 = time.monotonic()
+            second = None
+            states = set()
+            while not (long.terminal and second is not None
+                       and second.terminal):
+                states.add(queue.health.state)
+                if second is None and time.monotonic() - t0 > 1.25:
+                    assert long.status == "running", (
+                        "the long job ended before the heartbeat timeout"
+                    )
+                    second = queue.submit(tenant, JobRequest(
+                        source=KERNEL, threads=(2,), chunks=(1,)))
+                assert time.monotonic() - t0 < 90.0, "jobs never finished"
+                time.sleep(0.02)
+            assert states == {"ready"}, queue.health.doc()
+            assert long.status == second.status == "done"
+        finally:
+            queue.drain()
+
+    def test_cell_slower_than_the_timeout_stalls(self, tmp_path):
+        tenant = _tenant("t")
+        queue = JobQueue(
+            TenantRegistry([tenant]), Engine(jobs=1, use_cache=False),
+            Journal(tmp_path / "wal", fsync=False),
+            concurrency=1, heartbeat_timeout_s=0.5,
+            supervise_interval_s=0.05,
+        )
+        queue.start()
+        try:
+            plan = FaultPlan.parse("engine.job:latency:delay=2.0:match=t4c2")
+            with install_plan(plan):
+                job = queue.submit(tenant, JobRequest(
+                    source=KERNEL, threads=(2, 4), chunks=(1, 2)))
+                deadline = time.monotonic() + 30.0
+                while "worker-stalled" not in queue.health.reasons():
+                    assert not job.terminal, "no stall while t4c2 slept"
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+                with pytest.raises(ServiceOverloadedError) as exc:
+                    queue.submit(tenant, JobRequest(
+                        source=KERNEL, threads=(2,), chunks=(4,)))
+                assert "worker-stalled" in exc.value.context["reasons"]
+                _wait_terminal(queue, job.id)
+            assert job.status == "done"
+            # Cells flow again: the stall clears and admission reopens.
+            _wait_accepting(queue)
+        finally:
+            queue.drain()
+
+
 # ---------------------------------------------------------------------------
 # Journal failure → degraded + load shedding → recovery
 # ---------------------------------------------------------------------------
@@ -264,6 +338,51 @@ class TestJournalDegradation:
                 source=KERNEL, threads=(2,), chunks=(2,)))
             _wait_terminal(queue, job2.id)
             assert job2.status == "done"
+        finally:
+            queue.drain()
+
+
+class TestQueueDepthShedding:
+    def test_full_queue_sheds_until_it_drains(self, tmp_path):
+        tenant = _tenant("t")
+        queue = JobQueue(
+            TenantRegistry([tenant]), Engine(jobs=1, use_cache=False),
+            Journal(tmp_path / "wal", fsync=False),
+            concurrency=1, max_queue_depth=2,
+        )
+        queue.start()
+        try:
+            # The first job's one cell sleeps, so it holds the only
+            # worker while the next five submits meet the queue.
+            plan = FaultPlan.parse("engine.job:latency:delay=1.0:match=t2c7")
+            with install_plan(plan):
+                running = queue.submit(tenant, JobRequest(
+                    source=KERNEL, threads=(2,), chunks=(7,)))
+                deadline = time.monotonic() + 30.0
+                while running.status != "running":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                admitted, shed = [running], []
+                for chunk in (1, 2, 3, 4, 5):
+                    try:
+                        admitted.append(queue.submit(tenant, JobRequest(
+                            source=KERNEL, threads=(2,), chunks=(chunk,))))
+                    except ServiceOverloadedError as exc:
+                        shed.append(exc)
+                assert (len(admitted), len(shed)) == (3, 3)
+                for exc in shed:
+                    assert exc.code == "REPRO-E106"
+                    assert set(exc.context["reasons"]) == {"queue-pressure"}
+                    assert exc.context["retry_after_s"] > 0
+                for job in admitted:
+                    _wait_terminal(queue, job.id)
+            assert all(job.status == "done" for job in admitted)
+            _wait_accepting(queue)
+            assert queue.health.state == "ready"
+            job = queue.submit(tenant, JobRequest(
+                source=KERNEL, threads=(2,), chunks=(6,)))
+            _wait_terminal(queue, job.id)
+            assert job.status == "done"
         finally:
             queue.drain()
 
