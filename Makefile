@@ -38,7 +38,7 @@ bench-smoke:
 # asserts the warm run is served from cache.
 bench-sweep:
 	mkdir -p $(BENCHD)
-	$(PP) REPRO_CACHE_DIR=$(BENCHD)/cache $(PY) benchmarks/bench_engine_sweep.py \
+	$(PP) $(PY) benchmarks/bench_engine_sweep.py \
 	  --jobs 4 --out $(BENCHD)/BENCH_engine.json
 	$(PP) $(PY) -c "import json; \
 	  doc = json.load(open('$(BENCHD)/BENCH_engine.json')); \

@@ -8,7 +8,10 @@ counters and the speedup land in a JSON report (default
 engine's two headline numbers — parallel throughput and warm-cache
 latency — over time.
 
-Run:  REPRO_CACHE_DIR=/tmp/c python benchmarks/bench_engine_sweep.py --jobs 4
+Both passes use a fresh temporary store that is removed afterwards, so
+the run never reads or empties the user's result store.
+
+Run:  python benchmarks/bench_engine_sweep.py --jobs 4
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 
-from repro.engine import Engine, ResultStore, default_cache_dir
+from repro.engine import Engine, ResultStore
 from repro.kernels import linear_regression
 from repro.machine import paper_machine
 from repro.model import WhatIfSweep
@@ -37,9 +41,6 @@ def run(jobs: int, out: str) -> int:
     kernel = linear_regression(8, tasks=120, total_points=240)
     sweep = WhatIfSweep(machine, predictor_runs=6)
 
-    store = ResultStore(default_cache_dir())
-    store.clear()  # guaranteed-cold first pass
-
     def one_pass(label: str, n_jobs: int):
         engine = Engine(jobs=n_jobs, store=store)
         hits0 = _counter("engine_cache_hits_total")
@@ -53,8 +54,10 @@ def run(jobs: int, out: str) -> int:
               f"{wall:.2f}s  cache hits {hits:.0f}/{len(result.points)}")
         return result, wall, hits
 
-    cold, cold_s, cold_hits = one_pass("cold", jobs)
-    warm, warm_s, warm_hits = one_pass("warm", 1)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-sweep-") as root:
+        store = ResultStore(root)  # empty: the first pass is cold
+        cold, cold_s, cold_hits = one_pass("cold", jobs)
+        warm, warm_s, warm_hits = one_pass("warm", 1)
 
     n = len(cold.points)
     ok = warm == cold and cold_hits == 0 and warm_hits == n
@@ -64,7 +67,6 @@ def run(jobs: int, out: str) -> int:
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
         "warm_hits": warm_hits,
-        "store": str(store.root),
         "summary": {
             "points": n,
             "cold_s": round(cold_s, 2),

@@ -24,7 +24,9 @@ instead of replaying a warm cache.
 
 Importable: the crash-recovery e2e test reuses :func:`run_soak` with a
 smaller kill budget.  Exit status is nonzero on any violated
-expectation, so CI can gate on it directly.
+expectation, so CI can gate on it directly.  The soak's own temporary
+directory (journal, daemon log) is removed when it passes and kept,
+with its path printed, when it fails.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -102,9 +105,15 @@ def run_soak(
 ) -> dict:
     """SIGKILL the daemon ``kills`` times mid-sweep; verify zero row
     loss and zero duplication.  Returns a verdict dict; raises
-    ``AssertionError`` on any violated expectation."""
+    ``AssertionError`` on any violated expectation.
+
+    Without a ``workdir`` the soak makes a temporary one, removes it
+    when the soak passes and keeps it, printing its path, when it
+    fails.  A caller's ``workdir`` is never removed.
+    """
     from repro.service.client import ServiceClient
 
+    owned = workdir is None
     workdir = workdir or Path(tempfile.mkdtemp(prefix="repro-chaos-"))
     workdir.mkdir(parents=True, exist_ok=True)
     log = workdir / "daemon.log"
@@ -114,7 +123,8 @@ def run_soak(
                            retries=5)
     daemon = _spawn_daemon(port, workdir, delay_s, log)
     observed: list[dict] = []   # rows seen so far, in offset order
-    verdict: dict = {"port": port, "kills": 0, "workdir": str(workdir)}
+    verdict: dict = {"port": port, "kills": 0}
+    passed = False
     try:
         client.wait_ready(timeout_s=30)
         job_id = client.submit(
@@ -195,7 +205,7 @@ def run_soak(
             rows=len(observed), cells=len(cells),
             requeues=final.get("requeues"), ok=True,
         )
-        return verdict
+        passed = True
     finally:
         if daemon.poll() is None:
             daemon.send_signal(signal.SIGTERM)
@@ -204,6 +214,12 @@ def run_soak(
             except subprocess.TimeoutExpired:
                 daemon.kill()
                 daemon.wait(timeout=10)
+        if not passed:
+            print(f"chaos-soak FAILED: journal and daemon log kept in "
+                  f"{workdir}", file=sys.stderr)
+        elif owned:
+            shutil.rmtree(workdir, ignore_errors=True)
+    return verdict
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,7 +20,9 @@ promise:
    and leave none of its workers alive.
 
 Exit status is nonzero on any violated expectation, so CI can gate on
-it directly.
+it directly.  The smoke's temporary directory (result store, and the
+journal unless ``REPRO_CACHE_DIR`` is set) is removed when it passes
+and kept, with its path printed, when it fails.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -85,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         env=env,
     )
     verdict: dict = {"port": args.port}
+    passed = False
     try:
         client = ServiceClient(
             f"http://127.0.0.1:{args.port}", timeout_s=120
@@ -151,10 +155,15 @@ def main(argv: list[str] | None = None) -> int:
         verdict["drain_exit_code"] = rc
         left = sorted(p for p in workers if _alive(p))
         assert not left, f"workers alive after the drain: {left}"
+        passed = True
     finally:
         if daemon.poll() is None:
             daemon.kill()
             daemon.wait(timeout=10)
+        if passed:
+            shutil.rmtree(workdir, ignore_errors=True)
+        else:
+            print(f"service-smoke FAILED: kept {workdir}", file=sys.stderr)
 
     verdict["ok"] = True
     print("service-smoke OK:", json.dumps(verdict))
