@@ -114,10 +114,13 @@ def main(argv: list[str] | None = None) -> int:
     suite = ExperimentSuite(scale=args.scale)
     engine = Engine(jobs=args.jobs, use_cache=not args.no_cache)
     reuse = ReuseReport()
-    results, failures = _run_drivers(suite, DRIVER_ORDER, engine, reuse)
-    supplementary, supp_failures = _run_drivers(
-        suite, SUPPLEMENTARY_DRIVERS, engine, reuse
-    )
+    try:
+        results, failures = _run_drivers(suite, DRIVER_ORDER, engine, reuse)
+        supplementary, supp_failures = _run_drivers(
+            suite, SUPPLEMENTARY_DRIVERS, engine, reuse
+        )
+    finally:
+        engine.close()
     failures += supp_failures
     doc = build_markdown(results, supplementary)
     with open(args.out, "w", encoding="utf-8") as fh:

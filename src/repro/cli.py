@@ -331,7 +331,11 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
     suite = ExperimentSuite(scale=args.scale)
     policy = _policy_from(args)
-    results = list(suite.run_all(engine=_engine_from(args), policy=policy))
+    engine = _engine_from(args)
+    try:
+        results = list(suite.run_all(engine=engine, policy=policy))
+    finally:
+        engine.close()
     for res in results:
         print(res.to_text())
         print()
@@ -391,25 +395,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     policy = _policy_from(args)
     produced = 0
     reuse = ReuseReport()
-    for k in _load_kernels(args, policy=policy):
-        result = sweep.sweep(k.nest, threads=args.threads_list,
-                             chunks=args.chunks_list,
-                             engine=engine, budget=budget, policy=policy)
-        reuse.merge(result.reuse)
-        produced += len(result.points)
-        print(f"kernel {k.name}: {len(result.points)} configurations")
-        print(f"{'threads':>8} | {'chunk':>6} | {'FS cases':>10} | "
-              f"{'FS share':>8} | {'est. cycles':>12}")
-        for t, c, cases, share, wall in result.to_rows():
-            print(f"{t:>8} | {c:>6} | {cases:>10,} | {share:>7.1f}% | "
-                  f"{wall:>12,.0f}")
-        for p in result.degraded_points:
-            print(f"  degraded: t{p.threads} c{p.chunk} -> {p.fidelity} "
-                  f"({p.degradation})")
-        if result.points:
-            best = result.best()
-            print(f"best: {best.threads} threads, "
-                  f"schedule(static,{best.chunk})")
+    try:
+        for k in _load_kernels(args, policy=policy):
+            result = sweep.sweep(k.nest, threads=args.threads_list,
+                                 chunks=args.chunks_list,
+                                 engine=engine, budget=budget, policy=policy)
+            reuse.merge(result.reuse)
+            produced += len(result.points)
+            print(f"kernel {k.name}: {len(result.points)} configurations")
+            print(f"{'threads':>8} | {'chunk':>6} | {'FS cases':>10} | "
+                  f"{'FS share':>8} | {'est. cycles':>12}")
+            for t, c, cases, share, wall in result.to_rows():
+                print(f"{t:>8} | {c:>6} | {cases:>10,} | {share:>7.1f}% | "
+                      f"{wall:>12,.0f}")
+            for p in result.degraded_points:
+                print(f"  degraded: t{p.threads} c{p.chunk} -> {p.fidelity} "
+                      f"({p.degradation})")
+            if result.points:
+                best = result.best()
+                print(f"best: {best.threads} threads, "
+                      f"schedule(static,{best.chunk})")
+    finally:
+        engine.close()
     if reuse.total:
         print(f"reuse: {reuse.one_line()}")
     _print_failures(policy)

@@ -30,7 +30,7 @@ from math import gcd
 from typing import Iterator
 
 from repro.ir.affine import AffineExpr
-from repro.ir.loops import Loop, ParallelLoopNest
+from repro.ir.loops import ParallelLoopNest
 from repro.ir.refs import ArrayRef
 
 

@@ -188,7 +188,7 @@ def _substitute_assign(stmt: Assign, bindings: Mapping[str, AffineExpr | int]) -
 
 # A placeholder statement for doctest purposes only.
 from repro.ir.exprtree import Const as _Const  # noqa: E402
-from repro.ir.layout import DOUBLE as _DOUBLE, INT as _INT  # noqa: E402
+from repro.ir.layout import DOUBLE as _DOUBLE  # noqa: E402
 
 _DUMMY = Assign("t", _Const(0.0, _DOUBLE))
 

@@ -11,7 +11,7 @@ flattened to a single affine byte-address function of the loop variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np

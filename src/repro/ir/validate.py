@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ir.loops import Assign, Loop, ParallelLoopNest
+from repro.ir.loops import Assign, ParallelLoopNest
 
 
 class NestValidationError(ValueError):

@@ -28,7 +28,7 @@ from repro.ir.loops import ParallelLoopNest
 from repro.ir.refs import AddressSpace
 from repro.ir.validate import validate_nest
 from repro.machine import MachineConfig
-from repro.model.detector import FSDetector, FSStats
+from repro.model.detector import FSStats
 from repro.model.disjoint import lines_disjoint
 from repro.model.fastdetect import ENGINES, make_detector
 from repro.model.ownership import OwnershipListGenerator

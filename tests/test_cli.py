@@ -1,5 +1,7 @@
 """Unit tests for the repro-fs command-line interface."""
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -198,6 +200,22 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "configurations" in out
         assert "best:" in out
+
+    def test_pool_workers_exit_with_the_command(self, tmp_path):
+        # A cold pooled sweep forks its engine's workers; the command
+        # closes the engine, so none outlives it.
+        src = tmp_path / "scale.c"
+        src.write_text(
+            "#define N 256\ndouble out[N];\nvoid scale(void) {\n  int i;\n"
+            "  #pragma omp parallel for schedule(static, 1)\n"
+            "  for (i = 0; i < N; i++) { out[i] = out[i] * 0.5; }\n}\n"
+        )
+        before = set(multiprocessing.active_children())
+        assert main(
+            ["sweep", str(src), "--threads-list", "2,4", "--chunks-list",
+             "1,8", "--exact", "--jobs", "2", "--no-cache"]
+        ) == 0
+        assert set(multiprocessing.active_children()) == before
 
 
 class TestCache:

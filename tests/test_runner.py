@@ -1,5 +1,7 @@
 """Unit tests for the EXPERIMENTS.md builder and deviation notes."""
 
+import multiprocessing
+
 from repro.analysis.paper import PAPER_EXPECTATIONS, deviations_section
 from repro.analysis.report import ExperimentResult
 from repro.analysis.runner import build_markdown
@@ -86,6 +88,12 @@ class TestRunnerMain:
         stdout = capsys.readouterr().out
         assert "[runner] run_table1" in stdout
         assert "[runner] reuse: 0% reused (disk 0 / dedupe 0) of 2 cells" in stdout
+
+    def test_pool_workers_exit_with_the_runner(self, tmp_path, monkeypatch):
+        runner = self._fake_suite(monkeypatch)
+        before = set(multiprocessing.active_children())
+        assert runner.main([str(tmp_path / "EXP.md"), "--jobs", "2", "--no-cache"]) == 0
+        assert set(multiprocessing.active_children()) == before
 
     def test_failing_driver_exits_nonzero_but_writes_rest(
         self, tmp_path, monkeypatch, capsys

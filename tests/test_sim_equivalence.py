@@ -1,12 +1,16 @@
-"""The flattened simulator equals its scalar oracle, field by field.
+"""The simulator's executors agree, field by field.
 
-:class:`~repro.sim.executor.MulticoreSimulator` runs every MESI
-transition in one inlined loop; :class:`~repro.sim.reference.ReferenceSimulator`
-is the method-per-access executor it replaced.  These properties draw
-machines, kernels and simulator settings and require the two
-:class:`~repro.sim.executor.SimResult` objects to be equal in every field
-but the host's ``elapsed_seconds`` — counters, per-thread cycle floats and
-the wall total, bit for bit.
+:class:`~repro.sim.executor.LoopSimulator` walks every access through
+one flattened loop.  :class:`~repro.sim.executor.MulticoreSimulator`,
+the production simulator, sends every block whose caches and TLBs
+cannot overflow to the NumPy block core of :mod:`repro.sim.blockcore`
+and the rest to that loop.  :class:`~repro.sim.reference.ReferenceSimulator`
+is the method-per-access executor the loop replaced.  These properties
+draw machines, kernels and simulator settings on both sides of the
+core's qualification and require the three
+:class:`~repro.sim.executor.SimResult` objects to be equal in every
+field but the host's ``elapsed_seconds`` — counters, per-thread cycle
+floats and the wall total, bit for bit.
 
 The example budget comes from the hypothesis profile; CI runs this file
 with ``--hypothesis-profile=deep``.
@@ -28,6 +32,7 @@ from repro.ir import (
     ArrayRef,
     Assign,
     BinOp,
+    Const,
     LoadExpr,
     Loop,
     ParallelLoopNest,
@@ -41,7 +46,7 @@ from repro.kernels import (
     build_transpose_nest,
 )
 from repro.machine import CacheLevel, paper_machine, tiny_machine
-from repro.sim import MulticoreSimulator
+from repro.sim.executor import LoopSimulator, MulticoreSimulator
 from repro.sim.reference import ReferenceSimulator
 from tests.conftest import make_copy_nest
 
@@ -103,17 +108,23 @@ def result_fields(result) -> dict:
 
 def assert_equivalent(machine, nest, threads, *, space=None, chunk=None,
                       max_steps=None, **options):
-    """Run both simulators on one configuration; return the fast result."""
+    """Run every executor on one configuration; return the production
+    result and simulator (whose block counts show which path ran)."""
+    sims = [
+        cls(machine, **options)
+        for cls in (ReferenceSimulator, LoopSimulator, MulticoreSimulator)
+    ]
     results = [
-        cls(machine, **options).run(
+        sim.run(
             nest, threads, chunk=chunk, max_steps=max_steps,
             space=None if space is None else space(),
         )
-        for cls in (ReferenceSimulator, MulticoreSimulator)
+        for sim in sims
     ]
-    expected, actual = (result_fields(r) for r in results)
-    assert actual == expected
-    return results[1]
+    expected, loop, actual = (result_fields(r) for r in results)
+    assert loop == expected
+    assert actual == loop
+    return results[2], sims[2]
 
 
 @st.composite
@@ -143,7 +154,8 @@ def configurations(machine_strategy):
     return st.fixed_dictionaries({
         "machine": machine_strategy,
         "kernel": st.sampled_from(sorted(KERNELS)),
-        "threads": st.integers(1, 9),
+        # 63 threads fill the core's holder bitmasks; 64 run the loop.
+        "threads": st.one_of(st.integers(1, 9), st.sampled_from([40, 63, 64])),
         "chunk": st.sampled_from([1, 2, 3, 5, 8, 16]),
         "block_steps": st.sampled_from([1, 3, 17, 4096]),
         "max_steps": st.one_of(st.none(), st.integers(0, 80)),
@@ -155,7 +167,7 @@ def configurations(machine_strategy):
 
 
 def run_configuration(cfg):
-    return assert_equivalent(
+    assert_equivalent(
         cfg["machine"],
         KERNELS[cfg["kernel"]](),
         cfg["threads"],
@@ -169,17 +181,27 @@ def run_configuration(cfg):
     )
 
 
+def paper_machines():
+    """The paper machine, whose L2 and TLB the test kernels cannot
+    overflow, so every block qualifies for the block core."""
+    return st.sampled_from([512, 1 << 12, 1 << 16]).map(
+        lambda entries: dataclasses.replace(paper_machine(), tlb_entries=entries)
+    )
+
+
 class TestEquivalence:
     @given(cfg=configurations(machines()))
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_tiny_machines(self, cfg):
-        """Evicting caches, thrashing TLBs, NUMA penalties."""
+        """Evicting caches, thrashing TLBs, NUMA penalties: blocks that
+        fall back to the loop, next to pieces that qualify."""
         run_configuration(cfg)
 
-    @given(cfg=configurations(st.just(paper_machine())))
+    @given(cfg=configurations(paper_machines()))
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_paper_machine(self, cfg):
-        """The 8-way, 1024-set geometry the experiments simulate."""
+        """The 16-way, 512-set L2 the experiments simulate, where
+        blocks qualify for the block core."""
         run_configuration(cfg)
 
 
@@ -188,12 +210,29 @@ def _tiny(**changes):
     return dataclasses.replace(machine, **changes)
 
 
+def make_update_nest(n: int = 64) -> ParallelLoopNest:
+    """``parallel for (i) a[i] = a[i] * 2``: every store meets a line
+    its thread loaded alone, so at chunk 8 (one line per chunk) each
+    line's first store is an E-state hit."""
+    a = ArrayDecl.create("a", DOUBLE, (n,))
+    i = AffineExpr.var("i")
+    body = Assign(
+        ArrayRef(a, (i,), is_write=True),
+        BinOp("*", LoadExpr(ArrayRef(a, (i,))), Const(2.0, DOUBLE)),
+    )
+    return ParallelLoopNest(
+        name="update.i", root=Loop.create("i", 0, n, [body]),
+        parallel_var="i", schedule=Schedule("static", 8),
+    )
+
+
 class TestRegimesReached:
     """Fixed configurations proving the drawn space reaches each regime
-    the flattened loop special-cases, with both simulators agreeing."""
+    the loop and the block core special-case, with every executor
+    agreeing."""
 
     def test_evictions_and_tlb_thrash(self):
-        r = assert_equivalent(
+        r, _ = assert_equivalent(
             _tiny(tlb_entries=1, page_size=128), KERNELS["heat"](), 4,
             chunk=1, block_steps=3,
         )
@@ -202,7 +241,7 @@ class TestRegimesReached:
 
     def test_set_associative_evictions(self):
         machine = _tiny(l2=CacheLevel(16 * 64, associativity=2, latency_cycles=4))
-        r = assert_equivalent(machine, KERNELS["dft"](), 3, chunk=2)
+        r, _ = assert_equivalent(machine, KERNELS["dft"](), 3, chunk=2)
         assert r.counters.evictions > 0
 
     def test_cross_socket_penalty_changes_cycles(self):
@@ -210,8 +249,8 @@ class TestRegimesReached:
             tiny_machine().coherence, cross_socket_factor=2.7
         )
         numa = _tiny(cores_per_socket=2, coherence=coherence)
-        flat = assert_equivalent(_tiny(), KERNELS["copy"](), 6, chunk=1)
-        far = assert_equivalent(
+        flat, _ = assert_equivalent(_tiny(), KERNELS["copy"](), 6, chunk=1)
+        far, _ = assert_equivalent(
             numa, KERNELS["copy"](), 6, chunk=1, thread_placement="scatter"
         )
         assert far.counters.coherence_events > 0
@@ -219,17 +258,17 @@ class TestRegimesReached:
         assert far.cycles > flat.cycles
 
     def test_prefetches_downgrades_and_upgrades(self):
-        heat = assert_equivalent(paper_machine(), KERNELS["heat"](), 4, chunk=1)
+        heat, _ = assert_equivalent(paper_machine(), KERNELS["heat"](), 4, chunk=1)
         assert heat.counters.load_prefetched > 0
         # DFT's read-modify-write of shared output lines.
-        dft = assert_equivalent(paper_machine(), KERNELS["dft"](), 4, chunk=1)
+        dft, _ = assert_equivalent(paper_machine(), KERNELS["dft"](), 4, chunk=1)
         assert dft.counters.downgrades > 0
         assert dft.counters.store_upgrades > 0
 
     def test_downgraded_writer_repeating_its_step(self):
         # Thread 3 re-runs the same lines step after step while thread 2
         # reads (never writes) its dirty b line in between.
-        r = assert_equivalent(paper_machine(), KERNELS["shift"](), 4, chunk=4)
+        r, _ = assert_equivalent(paper_machine(), KERNELS["shift"](), 4, chunk=4)
         assert r.counters.downgrades > 0
         assert r.counters.store_upgrades > 0
 
@@ -238,12 +277,42 @@ class TestRegimesReached:
         # steps, thread 4 only 6, and 3-step blocks leave a ragged last
         # block.
         machine, heat = paper_machine(), KERNELS["heat"]()
-        full = assert_equivalent(machine, heat, 5, chunk=3, block_steps=3)
+        full, _ = assert_equivalent(machine, heat, 5, chunk=3, block_steps=3)
         assert full.steps == 16
-        cut = assert_equivalent(
+        cut, _ = assert_equivalent(
             machine, heat, 5, chunk=3, block_steps=3, max_steps=10
         )
         assert cut.steps == 10
+
+    def test_core_and_loop_in_one_run(self):
+        # A 16-line cache: 3-step blocks that cannot overflow it run in
+        # the core, the others in the loop, with the core's deferred
+        # write-back between them.
+        r, sim = assert_equivalent(
+            _tiny(), KERNELS["heat"](), 2, chunk=1, block_steps=3
+        )
+        assert sim.fast_blocks > 0 and sim.fallback_blocks > 0
+        assert r.counters.evictions > 0
+
+    @pytest.mark.parametrize("kernel,threads,chunk,event", [
+        # the first store to each line meets it alone in E: a hit
+        ("update", 2, 8, "exclusive_store_hit"),
+        # DFT's output lines, read by several threads, then written
+        ("dft", 4, 1, "store_upgrades"),
+        # heat's output lines, dirty in a neighbour's cache
+        ("heat", 4, 1, "store_miss_remote_modified"),
+    ])
+    def test_store_outcomes_in_the_core(self, kernel, threads, chunk, event):
+        nest = make_update_nest() if kernel == "update" else KERNELS[kernel]()
+        r, sim = assert_equivalent(paper_machine(), nest, threads, chunk=chunk)
+        assert sim.fast_blocks > 0 and sim.fallback_blocks == 0
+        ctr = r.counters
+        if event == "exclusive_store_hit":
+            # every line entered by a load of a thread alone with it
+            assert ctr.store_hits == ctr.stores > 0
+            assert ctr.load_shared_fills == 0
+        else:
+            assert getattr(ctr, event) > 0
 
 
 def test_program_never_imports_the_oracle():
