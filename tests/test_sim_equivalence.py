@@ -46,6 +46,7 @@ from repro.kernels import (
     build_transpose_nest,
 )
 from repro.machine import CacheLevel, paper_machine, tiny_machine
+from repro.sim import blockcore
 from repro.sim.executor import LoopSimulator, MulticoreSimulator
 from repro.sim.reference import ReferenceSimulator
 from tests.conftest import make_copy_nest
@@ -127,6 +128,52 @@ def assert_equivalent(machine, nest, threads, *, space=None, chunk=None,
     return results[2], sims[2]
 
 
+def carried_state(run) -> tuple:
+    """What a run carries into its next block, but the loop's memos:
+    each set's lines and states in LRU order, each TLB's pages in LRU
+    order and its last page, the directory, ``l3_seen``, the cycle
+    totals and the counters."""
+    return (
+        [[(si, list(s.items())) for si, s in enumerate(sets) if s]
+         for sets in run.caches],
+        [list(tlb) for tlb in run.tlbs],
+        list(run.tlb_last),
+        {line: mask for line, mask in run.holders.items() if mask},
+        {line: mask for line, mask in run.writers.items() if mask},
+        set(run.l3_seen),
+        list(run.cycles),
+        dataclasses.asdict(run.counters),
+    )
+
+
+class _RecordsBlockStates:
+    """Appends the run's carried state to ``states`` after every trace
+    block, with the block core's pending write-back applied."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.states = []
+        self._depth = 0
+
+    def _simulate_block(self, run, lines, flags) -> None:
+        self._depth += 1
+        try:
+            super()._simulate_block(run, lines, flags)
+        finally:
+            self._depth -= 1
+        if not self._depth:  # a whole trace block, not a piece of one
+            blockcore.sync(run)
+            self.states.append(carried_state(run))
+
+
+class LoopStates(_RecordsBlockStates, LoopSimulator):
+    pass
+
+
+class CoreStates(_RecordsBlockStates, MulticoreSimulator):
+    pass
+
+
 @st.composite
 def machines(draw):
     """Small machines that evict, thrash the TLB and cross sockets."""
@@ -150,12 +197,16 @@ def machines(draw):
     )
 
 
-def configurations(machine_strategy):
+#: 63 threads fill the core's holder bitmasks; 64 run the loop.  The
+#: wide counts are a quarter of the draws: they cost the most per block.
+THREADS = st.sampled_from([*range(1, 10), 40, 63, 64])
+
+
+def configurations(machine_strategy, threads=THREADS):
     return st.fixed_dictionaries({
         "machine": machine_strategy,
         "kernel": st.sampled_from(sorted(KERNELS)),
-        # 63 threads fill the core's holder bitmasks; 64 run the loop.
-        "threads": st.one_of(st.integers(1, 9), st.sampled_from([40, 63, 64])),
+        "threads": threads,
         "chunk": st.sampled_from([1, 2, 3, 5, 8, 16]),
         "block_steps": st.sampled_from([1, 3, 17, 4096]),
         "max_steps": st.one_of(st.none(), st.integers(0, 80)),
@@ -166,8 +217,8 @@ def configurations(machine_strategy):
     })
 
 
-def run_configuration(cfg):
-    assert_equivalent(
+def run_configuration(cfg, check=assert_equivalent):
+    check(
         cfg["machine"],
         KERNELS[cfg["kernel"]](),
         cfg["threads"],
@@ -179,6 +230,20 @@ def run_configuration(cfg):
         prefetcher=cfg["prefetcher"],
         thread_placement=cfg["thread_placement"],
     )
+
+
+def assert_same_carried_state(machine, nest, threads, *, space=None, chunk=None,
+                              max_steps=None, **options):
+    """The loop and the production simulator leave every trace block
+    in the same carried state."""
+    sims = [cls(machine, **options) for cls in (LoopStates, CoreStates)]
+    for sim in sims:
+        sim.run(
+            nest, threads, chunk=chunk, max_steps=max_steps,
+            space=None if space is None else space(),
+        )
+    loop, core = sims
+    assert core.states == loop.states
 
 
 def paper_machines():
@@ -203,6 +268,23 @@ class TestEquivalence:
         """The 16-way, 512-set L2 the experiments simulate, where
         blocks qualify for the block core."""
         run_configuration(cfg)
+
+
+class TestCarriedState:
+    """After every block the production simulator's caches (LRU order
+    included), TLBs, directory and totals equal the loop's, so the block
+    core's write-back hands the next block, core or loop, the loop's
+    state.  Up to 9 threads keep the per-block snapshots cheap."""
+
+    @given(cfg=configurations(machines(), threads=st.integers(1, 9)))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_tiny_machines(self, cfg):
+        run_configuration(cfg, check=assert_same_carried_state)
+
+    @given(cfg=configurations(paper_machines(), threads=st.integers(1, 9)))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_paper_machine(self, cfg):
+        run_configuration(cfg, check=assert_same_carried_state)
 
 
 def _tiny(**changes):
@@ -293,6 +375,15 @@ class TestRegimesReached:
         )
         assert sim.fast_blocks > 0 and sim.fallback_blocks > 0
         assert r.counters.evictions > 0
+
+    def test_threads_past_the_mask_width_run_the_loop(self):
+        # At chunk 1 over 96 elements thread 63 has work: its holder bit
+        # would not fit the core's int64 masks.
+        nest = make_copy_nest(n=96)
+        _, wide = assert_equivalent(paper_machine(), nest, 64, chunk=1)
+        assert wide.fast_blocks == 0 and wide.fallback_blocks > 0
+        _, full = assert_equivalent(paper_machine(), nest, 63, chunk=1)
+        assert full.fast_blocks > 0 and full.fallback_blocks == 0
 
     @pytest.mark.parametrize("kernel,threads,chunk,event", [
         # the first store to each line meets it alone in E: a hit
