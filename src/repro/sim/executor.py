@@ -12,9 +12,10 @@ between the two is therefore evidence the model works, not an identity.
 
 Two executors walk each lockstep block.  :class:`LoopSimulator` runs
 every access through one flattened loop; it is the oracle, and the
-fallback for blocks in which a cache set or a TLB can overflow.
-:class:`MulticoreSimulator` sends every other block to the NumPy block
-core of :mod:`repro.sim.blockcore`, which computes the same outcomes,
+fallback for blocks in which a TLB can overflow or that have more
+threads than the core's holder masks.  :class:`MulticoreSimulator`
+sends every other block to the NumPy block core of
+:mod:`repro.sim.blockcore`, which computes the same outcomes, evictions,
 costs and cycle floats for the whole block at once.
 
 Timing model
@@ -677,10 +678,10 @@ class MulticoreSimulator(LoopSimulator):
 
         Processing a block equals processing any step-axis split of it
         in sequence.  When the steps before the first access that could
-        overflow a set or a TLB are at least a quarter of the block, the
-        core takes them and the rest is dispatched again; otherwise the
-        loop walks the whole block, so a block that overflows from its
-        start costs one failed check, not one per halving.
+        overflow a TLB are at least a quarter of the block, the core
+        takes them and the rest is dispatched again; otherwise the loop
+        walks the whole block, so a block that overflows from its start
+        costs one failed check, not one per halving.
         """
         # The last core block's write-back lands before this block is
         # qualified or walked.

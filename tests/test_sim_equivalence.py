@@ -2,9 +2,9 @@
 
 :class:`~repro.sim.executor.LoopSimulator` walks every access through
 one flattened loop.  :class:`~repro.sim.executor.MulticoreSimulator`,
-the production simulator, sends every block whose caches and TLBs
-cannot overflow to the NumPy block core of :mod:`repro.sim.blockcore`
-and the rest to that loop.  :class:`~repro.sim.reference.ReferenceSimulator`
+the production simulator, sends every block whose TLBs cannot overflow
+to the NumPy block core of :mod:`repro.sim.blockcore`, cache evictions
+included, and the rest to that loop.  :class:`~repro.sim.reference.ReferenceSimulator`
 is the method-per-access executor the loop replaced.  These properties
 draw machines, kernels and simulator settings on both sides of the
 core's qualification and require the three
@@ -176,7 +176,11 @@ class CoreStates(_RecordsBlockStates, MulticoreSimulator):
 
 @st.composite
 def machines(draw):
-    """Small machines that evict, thrash the TLB and cross sockets."""
+    """Small machines that evict, thrash the TLB and cross sockets.
+
+    A fifth of them get a TLB no test kernel can thrash, so their
+    evicting blocks run in the block core rather than the loop.
+    """
     cache_lines = draw(st.sampled_from([2, 4, 8, 16]))
     base = tiny_machine(num_cores=16, cache_lines=cache_lines)
     # tiny_machine's L2 is fully associative; also draw set-associative
@@ -192,7 +196,7 @@ def machines(draw):
         l2=l2,
         cores_per_socket=draw(st.integers(1, 4)),
         coherence=coherence,
-        tlb_entries=draw(st.integers(1, 8)),
+        tlb_entries=draw(st.one_of(st.integers(1, 8), st.just(512))),
         page_size=draw(st.sampled_from([64, 128, 512, 4096])),
     )
 
@@ -258,8 +262,9 @@ class TestEquivalence:
     @given(cfg=configurations(machines()))
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_tiny_machines(self, cfg):
-        """Evicting caches, thrashing TLBs, NUMA penalties: blocks that
-        fall back to the loop, next to pieces that qualify."""
+        """Evicting caches, thrashing TLBs, NUMA penalties: evictions
+        resolved in the core, and blocks that fall back to the loop next
+        to pieces that qualify."""
         run_configuration(cfg)
 
     @given(cfg=configurations(paper_machines()))
@@ -367,13 +372,33 @@ class TestRegimesReached:
         assert cut.steps == 10
 
     def test_core_and_loop_in_one_run(self):
-        # A 16-line cache: 3-step blocks that cannot overflow it run in
-        # the core, the others in the loop, with the core's deferred
-        # write-back between them.
+        # A 16-line cache and a 4-entry TLB: 3-step blocks whose pages
+        # fit the TLB run in the core, the others in the loop, with the
+        # core's deferred write-back between them.
         r, sim = assert_equivalent(
-            _tiny(), KERNELS["heat"](), 2, chunk=1, block_steps=3
+            _tiny(tlb_entries=4, page_size=256), KERNELS["heat"](), 2,
+            chunk=1, block_steps=3,
         )
         assert sim.fast_blocks > 0 and sim.fallback_blocks > 0
+        assert r.counters.evictions > 0
+
+    @pytest.mark.parametrize("ways,kernel,threads,chunk,block_steps", [
+        # fully associative, evicting from the first 3-step block on
+        (0, "heat", 2, 1, 3),
+        # direct-mapped: a line evicted and re-read within one step
+        (1, "dft", 3, 2, 4096),
+        (2, "shift", 4, 1, 17),
+    ])
+    def test_evictions_in_the_core(self, ways, kernel, threads, chunk,
+                                   block_steps):
+        machine = _tiny(
+            l2=CacheLevel(16 * 64, associativity=ways, latency_cycles=4)
+        )
+        nest = KERNELS[kernel]()
+        r, sim = assert_equivalent(
+            machine, nest, threads, chunk=chunk, block_steps=block_steps
+        )
+        assert sim.fast_blocks > 0 and sim.fallback_blocks == 0
         assert r.counters.evictions > 0
 
     def test_threads_past_the_mask_width_run_the_loop(self):
