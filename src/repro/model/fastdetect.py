@@ -603,7 +603,11 @@ class FastFSDetector(FSDetector):
         TS: np.ndarray,
         exact_ev: list[tuple[int, int]],
     ) -> None:
-        """Steps 5 and 6 of the core for one block (see module docs)."""
+        """Steps 5 and 6 of the core for one block (see module docs).
+
+        The per-line and per-(line, thread) decisions are array passes;
+        Python touches only the dicts and stacks that change.
+        """
         T = self.num_threads
         ul = uniq_lines.tolist()
         G = len(ul)
@@ -611,68 +615,69 @@ class FastFSDetector(FSDetector):
         last_seg = np.empty(S, dtype=bool)
         last_seg[-1] = True
         np.not_equal(seg_grp[1:], seg_grp[:-1], out=last_seg[:-1])
-        new_owner_l = seg_end_owner[last_seg].tolist()
-        new_hold_l = seg_h_end[last_seg].tolist()
-        old_hold_l = carr_holders.tolist()
-        carr_owner_l = carr_owner.tolist()
+        new_owner = seg_end_owner[last_seg]
+        new_hold = seg_h_end[last_seg]
 
         holders_d = self._holders
         writers_d = self._writers
         stacks = self._stacks
+        holders_d.update(zip(ul, new_hold.tolist()))
+        writers_d.update(
+            zip(ul, [(1 << o) if o >= 0 else 0 for o in new_owner.tolist()])
+        )
+
+        # Threads that lost their copy (foreign-write invalidation).
+        lost = carr_holders & ~new_hold
+        gone = np.flatnonzero(lost)
+        for i, m in zip(gone.tolist(), lost[gone].tolist()):
+            while m:
+                low = m & -m
+                stacks[low.bit_length() - 1].pop(ul[i], None)
+                m ^= low
 
         # Last own-access event per (line, thread) via an ordered
         # scatter: events arrive ts-ascending per key, and duplicate
         # fancy-index assignments keep the last value written.
         last_pos = np.full(G * T, -1, dtype=np.int64)
         last_pos[grp * T + TH] = np.arange(grp.size, dtype=np.int64)
-        pairs2 = np.flatnonzero(last_pos >= 0)
-        lts = TS[last_pos[pairs2]].tolist()
-        lg = (pairs2 // T).tolist()
-        lthr = (pairs2 % T).tolist()
-        touched_keys = set(pairs2.tolist())
 
-        for i, line in enumerate(ul):
-            nh = new_hold_l[i]
-            no = new_owner_l[i]
-            holders_d[line] = nh
-            writers_d[line] = (1 << no) if no >= 0 else 0
-            # Threads that lost their copy (foreign-write invalidation).
-            lost = old_hold_l[i] & ~nh
-            while lost:
-                low = lost & -lost
-                stacks[low.bit_length() - 1].pop(line, None)
-                lost ^= low
-            # Carried owner kept its copy but never touched the line in
-            # this block: its Modified copy was downgraded *in place*
-            # (no LRU motion) by the foreign read.
-            c = carr_owner_l[i]
-            if (
-                c >= 0
-                and no != c
-                and (nh >> c) & 1
-                and (i * T + c) not in touched_keys
-            ):
-                st = stacks[c]
-                if line in st:
-                    st[line] = SHARED
+        # A carried owner that lost ownership but kept its copy was
+        # downgraded *in place* (no LRU motion) by a foreign read.  (A
+        # copy it lost is gone already, and one it touched re-enters
+        # below with its final state.)
+        down = np.flatnonzero((carr_owner >= 0) & (new_owner != carr_owner))
+        for i, c in zip(down.tolist(), carr_owner[down].tolist()):
+            st = stacks[c]
+            if ul[i] in st:
+                st[ul[i]] = SHARED
 
         # Touched-and-held lines re-enter each stack above the untouched
         # survivors, ordered by last own-access timestamp — exactly the
-        # reference's pop/re-insert discipline.
-        per_ins: list[list[tuple[int, int]]] = [[] for _ in range(T)]
-        for g, t, ts in zip(lg, lthr, lts):
-            if (new_hold_l[g] >> t) & 1:
-                per_ins[t].append((ts, g))
-        for t, ins in enumerate(per_ins):
-            if not ins:
+        # reference's pop/re-insert discipline (a thread's lines are
+        # distinct, so popping them all and appending them in order is
+        # the same as re-inserting them one by one).
+        pairs = np.flatnonzero(last_pos >= 0)
+        g = pairs // T
+        thr = pairs - g * T
+        held = ((new_hold[g] >> thr.astype(np.uint64)) & np.uint64(1)) == 1
+        pairs, g, thr = pairs[held], g[held], thr[held]
+        order = np.lexsort((TS[last_pos[pairs]], thr))
+        g, thr = g[order], thr[order]
+        lines = uniq_lines[g].tolist()
+        states = [
+            MODIFIED if m else SHARED for m in (new_owner[g] == thr).tolist()
+        ]
+        bounds = np.searchsorted(thr, np.arange(T + 1)).tolist()
+        for t in range(T):
+            lo, hi = bounds[t], bounds[t + 1]
+            if lo == hi:
                 continue
-            ins.sort()
             st = stacks[t]
-            pop = st.pop
-            for _, g in ins:
-                line = ul[g]
-                pop(line, None)
-                st[line] = MODIFIED if new_owner_l[g] == t else SHARED
+            if st:
+                pop = st.pop
+                for line in lines[lo:hi]:
+                    pop(line, None)
+            st.update(zip(lines[lo:hi], states[lo:hi]))
 
         # 6. Evictions (streaming regime): pop each thread's K LRU-front
         # entries — proven untouched by eligibility, so they are exactly

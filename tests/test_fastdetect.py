@@ -272,6 +272,27 @@ class TestDeferredWriteBack:
         assert fast_d.fast_blocks >= 2 and fast_d.stats.evictions > 0
         assert _full_state(fast_d) == _full_state(ref_d)
 
+    def test_untouched_owner_downgraded_in_place(self):
+        """Lines their owner writes in one block and leaves alone in the
+        next stay in the owner's stack where they were; those another
+        thread reads meanwhile are downgraded to SHARED, the others stay
+        MODIFIED."""
+        steps = MIN_FAST_EVENTS
+        own = np.arange(steps, dtype=np.int64)[:, None]
+        # Thread 0 writes lines 0..steps-1; thread 1 then reads the even
+        # ones (and as many new lines).
+        first = (own, own + 10**6)
+        second = (own + 2 * 10**6, 2 * own)
+        ref_d = FSDetector(2, 4 * steps)
+        fast_d = FastFSDetector(2, 4 * steps)
+        for mats, writes in ((first, [True]), (second, [False])):
+            ref_d.process_block(mats, np.array(writes))
+            fast_d.process_block(mats, np.array(writes))
+        assert fast_d.fast_blocks == 2
+        assert _full_state(fast_d) == _full_state(ref_d)
+        states = dict(fast_d.cache_state(0))
+        assert (states[0], states[1]) == ("S", "M")
+
 
 class TestModelLevelEquivalence:
     """engine="fast" and engine="reference" produce identical results
