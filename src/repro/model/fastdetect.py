@@ -18,26 +18,33 @@ with any in-block access**, lines evolve independently — the only
 cross-line coupling in the detector is LRU capacity pressure.  The
 fast path therefore:
 
-1. flattens the block into ``(line, thread, timestamp, is_write)``
-   event arrays, where the timestamp encodes the lockstep interleaving
-   (step-major, then thread order, then program order of references);
-2. groups events by line with one index-free ``np.sort`` of packed
-   ``line · ts_span + ts`` keys (a two-key ``np.lexsort`` only for
-   astronomical line ids) and splits each group into *segments* at
-   write events — within a segment the owner is constant until the
-   first foreign read downgrades it;
-3. evaluates φ/mask per segment: the write leading a segment is an FS
+1. stacks the block column-major and gives every access a timestamp
+   encoding the lockstep interleaving (step-major, then thread order,
+   then program order of references) in power-of-two bit fields;
+2. collapses each thread's same-line references within a step to the
+   first one, plus the first write after a leading read: the thread's
+   references in one step have consecutive timestamps, so the others
+   find it already a reader or the sole owner and change nothing but
+   LRU order;
+3. groups the kept events by line with one index-free ``np.sort`` of
+   packed ``line << span_bits | ts`` keys (a two-key ``np.lexsort``
+   only for negative or astronomical line ids) and splits each group
+   into *segments* at write events — within a segment the owner is
+   constant until the first foreign read downgrades it;
+4. evaluates φ/mask per segment: the write leading a segment is an FS
    write case iff the previous segment (or the carried state) ends with
    a foreign owner; the first foreign read of a segment is the single
    FS read case + downgrade the reference detector would count;
    misses are first occurrences of ``(segment, thread)`` outside the
    segment's base holder mask; invalidations are popcounts of the
    holder mask a write destroys — all with ``reduceat``/``unique``;
-4. writes the final ``(owner, holders)`` per line back into the dicts
+5. writes the final ``(owner, holders)`` per line back into the dicts
    and reconstructs each thread's LRU stack exactly: surviving
    untouched lines keep their relative order, touched-and-held lines
-   re-enter above them ordered by their last own-access timestamp —
-   precisely where the reference's pop/re-insert discipline puts them.
+   re-enter above them ordered by their last own access — the last
+   column of the step's row that holds the line, which the collapse
+   may have dropped — precisely where the reference's pop/re-insert
+   discipline puts them.
    This write-back is *deferred*: the block leaves its final per-line
    arrays pending, and they are applied the first time anything reads
    or advances the detector (the next block, ``access``, fingerprinting,
@@ -314,141 +321,176 @@ class FastFSDetector(FSDetector):
         if R == 0 or n_steps == 0:
             return
 
-        # 1.+2. Flatten the block into (line, timestamp) events and sort
-        # by line, timestamps ascending within each line.  The timestamp
-        # encodes the reference interleaving — step-major, then position
-        # in the thread order, then program order of references — and
-        # also *determines* the accessing thread and the write flag, so
-        # the common case packs each event into one int64 sort key
-        # ``line · ts_span + ts`` and recovers everything after an
-        # index-free ``np.sort``.  Astronomical line ids fall back to a
-        # two-key lexsort over explicit arrays.
+        # 1. Stack the block column-major: reference ``k`` of thread
+        # ``t``'s step ``s`` is ``MT[k, row0[t] + s]``.  Timestamps encode
+        # the reference interleaving — step-major, then position in the
+        # thread order, then program order of references — in power-of-
+        # two fields, ``ts = step << stride_bits | pos << r_bits | k``,
+        # so unpacking is shifts and masks.
+        live = [t for t in range(T) if len(thread_lines[t])]
+        MT = np.concatenate(
+            [np.asarray(thread_lines[t], dtype=np.int64).T for t in live],
+            axis=1,
+        )
+        n_rows = int(MT.shape[1])
+        stats.accesses += n_rows * R
+        r_bits = (R - 1).bit_length()
+        stride_bits = r_bits + (T - 1).bit_length()
+        span_bits = stride_bits + (n_steps - 1).bit_length()
         posof = {t: i for i, t in enumerate(order)}
-        stride = T * R
-        ts_span = n_steps * stride  # timestamps live in [0, ts_span)
-        max_line = max(
-            (int(m.max()) for m in thread_lines if m.size), default=0
-        )
-        min_line = min(
-            (int(m.min()) for m in thread_lines if m.size), default=0
-        )
-        packed = min_line >= 0 and max_line < (2**62) // ts_span
+        row0 = np.zeros(T, dtype=np.int64)
+        row_base = np.empty(n_rows, dtype=np.int64)
+        r = 0
+        for t in live:
+            steps_t = len(thread_lines[t])
+            row0[t] = r
+            np.left_shift(
+                np.arange(steps_t, dtype=np.int64), stride_bits,
+                out=row_base[r:r + steps_t],
+            )
+            row_base[r:r + steps_t] += posof[t] << r_bits
+            r += steps_t
+
+        # 2. Collapse each thread's same-line references within a step.
+        # They have consecutive timestamps, so no other thread's event
+        # falls between them, and only two of them can change anything:
+        # the first, and — when the first is a read — the first write
+        # after it (which takes ownership and may invalidate).  A later
+        # read finds the thread already a reader or the owner; a later
+        # write finds it the owner and sole holder.  So a read column
+        # keeps the rows where no earlier column repeats its line, and a
+        # write column those where no earlier *write* column does (a
+        # column that always repeats one needs no further comparison).
+        # Only LRU order reads the dropped references; the write-back
+        # recovers their last column from ``MT`` (see ``_write_back``).
+        keep: list[np.ndarray | None] = [None] * R
+        w_list = writes.tolist()
+        for j in range(1, R):
+            col = MT[j]
+            dup = None
+            for i in range(j):
+                if w_list[j] and not w_list[i]:
+                    continue
+                eq = MT[i] == col
+                if eq.any():
+                    if eq.all():
+                        dup = eq
+                        break
+                    dup = eq if dup is None else dup | eq
+            if dup is not None:
+                keep[j] = ~dup
+        repeats = any(k is not None for k in keep)
+
+        # 3. Sort the kept events by line, timestamps ascending within
+        # each line: one index-free ``np.sort`` of packed ``line <<
+        # span_bits | ts`` keys, from which the accessing thread and the
+        # write flag follow by table lookup.  Line ids outside the packed
+        # range (negative, or too large to shift) take a two-key lexsort
+        # over explicit line and timestamp arrays (``key`` then holds the
+        # timestamps alone).
+        packed = int(MT.min()) >= 0 and int(MT.max()) < (1 << 62) >> span_bits
+        sizes = [n_rows if k is None else int(np.count_nonzero(k)) for k in keep]
+        N = sum(sizes)
+        key = np.empty(N, dtype=np.int64)
+        LA = key if packed else np.empty(N, dtype=np.int64)
+        off = 0
+        for j, (kj, n) in enumerate(zip(keep, sizes)):
+            dst = key[off:off + n]
+            if kj is None:
+                col, base = MT[j], row_base
+            else:
+                col, base = MT[j][kj], row_base[kj]
+            if packed:
+                np.left_shift(col, span_bits, out=dst)
+                dst += base
+            else:
+                LA[off:off + n] = col
+                dst[:] = base
+            dst += j
+            off += n
+        stride_mask = (1 << stride_bits) - 1
+        ts_mask = (1 << span_bits) - 1 if packed else -1
+        if packed:
+            key.sort()
+            LA = key >> span_bits
+        else:
+            perm = np.lexsort((key, LA))
+            LA = LA[perm]
+            key = key[perm]
+        pos_ref = key & stride_mask
         # Per-position lookup tables (``pos_ref`` = ts mod stride encodes
         # the accessing thread and the reference): one small gather
         # replaces several full-length arithmetic passes.
         order_arr = np.asarray(order, dtype=np.int64)
-        th_tab = np.repeat(order_arr, R)
-        w_tab = np.tile(writes, T)
+        th_tab = np.zeros(1 << stride_bits, dtype=np.int64)
+        w_tab = np.zeros(1 << stride_bits, dtype=bool)
+        th_tab.reshape(-1, 1 << r_bits)[:T, :R] = order_arr[:, None]
+        w_tab.reshape(-1, 1 << r_bits)[:T, :R] = writes
         rb_tab = np.where(
             w_tab, np.uint64(0), np.uint64(1) << th_tab.astype(np.uint64)
         )
-        parts: list[np.ndarray] = []
-        th_parts: list[np.ndarray] = []
-        ts_parts: list[np.ndarray] = []
-        w_parts: list[np.ndarray] = []
-        total = 0
-        # ts(step, pos, ref) = step·stride + pos·R + ref, precomputed
-        # once for the widest thread and sliced per thread.
-        base_ts = (
-            np.arange(n_steps, dtype=np.int64)[:, None] * stride
-            + np.arange(R, dtype=np.int64)[None, :]
-        )
-        for t in range(T):
-            mat = thread_lines[t]
-            steps_t = len(mat)
-            if steps_t == 0:
-                continue
-            mat = np.ascontiguousarray(mat, dtype=np.int64)
-            if packed:
-                part = mat * ts_span + base_ts[:steps_t]
-                if posof[t]:
-                    part += posof[t] * R
-                parts.append(part.reshape(-1))
-            else:
-                ts_t = base_ts[:steps_t] + posof[t] * R
-                parts.append(mat.reshape(-1))
-                th_parts.append(np.full(steps_t * R, t, dtype=np.int64))
-                ts_parts.append(ts_t.reshape(-1))
-                w_parts.append(np.tile(writes, steps_t))
-            total += steps_t * R
-        stats.accesses += total
-        if total == 0:
-            return
-        N = total
-        ar_n = np.arange(N, dtype=np.int64)
-        if packed:
-            key = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            key.sort()
-            LA, TS = np.divmod(key, ts_span)
-            pos_ref = TS % stride
-            TH = th_tab[pos_ref]
-            W = w_tab[pos_ref]
-        else:
-            LA = np.concatenate(parts)
-            TH = np.concatenate(th_parts)
-            TS = np.concatenate(ts_parts)
-            W = np.concatenate(w_parts)
-            perm = np.lexsort((TS, LA))
-            LA = LA[perm]
-            TH = TH[perm]
-            TS = TS[perm]
-            W = W[perm]
-            pos_ref = TS % stride
+        TH = th_tab[pos_ref]
+        W = w_tab[pos_ref]
 
         gs = np.empty(N, dtype=bool)
         gs[0] = True
         np.not_equal(LA[1:], LA[:-1], out=gs[1:])
         uniq_lines = LA[gs]
         G = int(uniq_lines.size)
-        grp = np.cumsum(gs) - 1
 
         # Carried per-line state from the dicts (invalidate-mode
-        # invariant: at most one writer → a single "owner" thread).
-        ul = uniq_lines.tolist()
-        hget = self._holders.get
-        wget = self._writers.get
-        carr_holders = np.fromiter(
-            (hget(ln, 0) for ln in ul), dtype=np.uint64, count=G
-        )
-        carr_writers = np.fromiter(
-            (wget(ln, 0) for ln in ul), dtype=np.uint64, count=G
-        )
+        # invariant: at most one writer → a single "owner" thread).  A
+        # detector that has applied no block yet carries nothing.
+        carr_holders = np.zeros(G, dtype=np.uint64)
         carr_owner = np.full(G, -1, dtype=np.int64)
-        wnz = carr_writers != 0
-        if wnz.any():
-            # exact for single-bit values below 2**63
-            carr_owner[wnz] = np.log2(
-                carr_writers[wnz].astype(np.float64)
-            ).astype(np.int64)
+        if self._holders or self._writers:
+            ul = uniq_lines.tolist()
+            hget = self._holders.get
+            wget = self._writers.get
+            carr_holders = np.fromiter(
+                (hget(ln, 0) for ln in ul), dtype=np.uint64, count=G
+            )
+            carr_writers = np.fromiter(
+                (wget(ln, 0) for ln in ul), dtype=np.uint64, count=G
+            )
+            wnz = carr_writers != 0
+            if wnz.any():
+                # exact for single-bit values below 2**63
+                carr_owner[wnz] = np.log2(
+                    carr_writers[wnz].astype(np.float64)
+                ).astype(np.int64)
 
-        # 3. Segments: split each group at write events.
+        # 4. Segments: split each group at write events.
         seg_start = W | gs
         seg_starts = np.flatnonzero(seg_start)
         S = int(seg_starts.size)
-        seg_of = np.cumsum(seg_start) - 1
-        seg_grp = grp[seg_starts]
-        seg_is_w = W[seg_starts]
         seg_first = gs[seg_starts]
+        seg_grp = np.cumsum(seg_first) - 1
+        seg_is_w = W[seg_starts]
         seg_thr = TH[seg_starts]
 
         # Owner while the segment's reads run.
         seg_owner0 = np.where(seg_is_w, seg_thr, carr_owner[seg_grp])
 
         # First foreign read per segment = the FS-read + downgrade event.
-        # ``(TH ^ owner) > 0`` is "foreign read" in two passes: it is 0
-        # for the owner itself, negative when there is no owner (-1),
-        # and a write event always leads its own segment (owner == TH),
-        # so no explicit read mask is needed.
-        owner_at = seg_owner0[seg_of]
-        fr = (TH ^ owner_at) > 0
-        ffr = np.minimum.reduceat(np.where(fr, ar_n, N), seg_starts)
-        has_fr = ffr < N
+        # Every event after a segment's first is a read, so it is the
+        # segment's first event whose thread differs from the one before
+        # it, where the owner stands "before" the first event (a write
+        # leads its segment as the owner).  A segment with no owner has
+        # no foreign read.  The count of such changes before each
+        # segment start indexes the first change at or after it (``N``
+        # when there is none).
+        chg = np.empty(N, dtype=bool)
+        np.not_equal(TH[1:], TH[:-1], out=chg[1:])
+        chg[seg_starts] = seg_thr != seg_owner0
+        chg_at = np.append(np.flatnonzero(chg), N)
+        ffr = chg_at[np.cumsum(chg)[seg_starts] - chg[seg_starts]]
+        has_fr = (ffr < np.append(seg_starts[1:], N)) & (seg_owner0 >= 0)
         seg_end_owner = np.where(has_fr, -1, seg_owner0)
 
         # Holder mask at segment end = base holders ∪ readers (the
         # per-position table maps write events to zero bits).
-        read_bits = rb_tab[pos_ref]
-        seg_read_mask = np.bitwise_or.reduceat(read_bits, seg_starts)
+        seg_read_mask = np.bitwise_or.reduceat(rb_tab[pos_ref], seg_starts)
         seg_wbit = np.uint64(1) << seg_thr.astype(np.uint64)
         seg_base = np.where(seg_is_w, seg_wbit, carr_holders[seg_grp])
         seg_h_end = seg_base | seg_read_mask
@@ -505,11 +547,16 @@ class FastFSDetector(FSDetector):
             cnt = np.bincount(acc, minlength=T)
             for v in np.flatnonzero(cnt).tolist():
                 by_thread[v] += int(cnt[v])
-            by_line = stats.fs_by_line
-            lin_grp = np.concatenate([seg_grp[has_fr], w_grp[fs_w_sel]])
-            cnt = np.bincount(lin_grp, minlength=G)
-            for g in np.flatnonzero(cnt).tolist():
-                by_line[ul[g]] += int(cnt[g])
+            # One ``Counter.update`` with a dict: on an empty counter it
+            # is a C-level ``dict.update``.
+            cnt = np.bincount(
+                np.concatenate([seg_grp[has_fr], w_grp[fs_w_sel]]),
+                minlength=G,
+            )
+            nz = np.flatnonzero(cnt)
+            stats.fs_by_line.update(
+                dict(zip(uniq_lines[nz].tolist(), cnt[nz].tolist()))
+            )
             by_pair = stats.fs_by_pair
             cnt = np.bincount(wrt * T + acc, minlength=T * T)
             for v in np.flatnonzero(cnt).tolist():
@@ -523,12 +570,14 @@ class FastFSDetector(FSDetector):
         # pops) − capacity)`` — exact because the shed entries (the LRU
         # prefix, untouched per eligibility) are disjoint from the pop
         # targets (in-block touched lines).  Eligibility's ``K_max``
-        # plan only bounds this from above.
+        # plan only bounds this from above.  Every insert and pop is a
+        # kept event: a segment's first read per thread and every write
+        # that misses or invalidates survive the collapse.
         exact_ev: list[tuple[int, int]] = []
         if self._block_evictions:
             cap = self.stack_lines
-            w_starts = seg_starts[wsel]
-            w_ts = TS[w_starts]
+            seg_of = np.cumsum(seg_start) - 1
+            w_ts = key[seg_starts[wsel]] & ts_mask
             # First read per (segment, thread): insert iff outside the
             # segment's base holder mask.
             ridx = np.flatnonzero(~W)
@@ -541,7 +590,7 @@ class FastFSDetector(FSDetector):
                 (seg_base[r_seg] >> r_thr.astype(np.uint64))
                 & np.uint64(1)
             ) == 0
-            r_ts = TS[r_pos]
+            r_ts = key[r_pos] & ts_mask
             for t, _kmax in self._block_evictions:
                 tbit = np.uint64(1 << t)
                 pop_ts = w_ts[(inv_bits & tbit) != 0]
@@ -564,14 +613,15 @@ class FastFSDetector(FSDetector):
                 if k > 0:
                     exact_ev.append((t, k))
 
-        # 5.+6. The block's final per-line state and its planned LRU pops
+        # 5. The block's final per-line state and its planned LRU pops
         # wait until something reads the state (see ``_sync``).  The
         # eviction count is the block's own statistic, so it lands now.
         stats.evictions += sum(k for _, k in exact_ev)
         self._block_evictions = ()
         self._pending = (
             uniq_lines, seg_grp, seg_end_owner, seg_h_end, carr_holders,
-            carr_owner, grp, TH, TS, exact_ev,
+            carr_owner, gs, TH, key, ts_mask, exact_ev,
+            (MT, row0, stride_bits, r_bits) if repeats else None,
         )
 
     # -- deferred write-back ------------------------------------------------------
@@ -598,12 +648,15 @@ class FastFSDetector(FSDetector):
         seg_h_end: np.ndarray,
         carr_holders: np.ndarray,
         carr_owner: np.ndarray,
-        grp: np.ndarray,
+        gs: np.ndarray,
         TH: np.ndarray,
-        TS: np.ndarray,
+        key: np.ndarray,
+        ts_mask: int,
         exact_ev: list[tuple[int, int]],
+        repeats: tuple | None,
     ) -> None:
-        """Steps 5 and 6 of the core for one block (see module docs).
+        """Step 5 of the core for one block, evictions included (see
+        module docs).
 
         The per-line and per-(line, thread) decisions are array passes;
         Python touches only the dicts and stacks that change.
@@ -638,6 +691,7 @@ class FastFSDetector(FSDetector):
         # Last own-access event per (line, thread) via an ordered
         # scatter: events arrive ts-ascending per key, and duplicate
         # fancy-index assignments keep the last value written.
+        grp = np.cumsum(gs) - 1
         last_pos = np.full(G * T, -1, dtype=np.int64)
         last_pos[grp * T + TH] = np.arange(grp.size, dtype=np.int64)
 
@@ -661,7 +715,19 @@ class FastFSDetector(FSDetector):
         thr = pairs - g * T
         held = ((new_hold[g] >> thr.astype(np.uint64)) & np.uint64(1)) == 1
         pairs, g, thr = pairs[held], g[held], thr[held]
-        order = np.lexsort((TS[last_pos[pairs]], thr))
+        last_ts = key[last_pos[pairs]] & ts_mask
+        if repeats is not None:
+            # The collapse kept each (step, thread, line)'s first access,
+            # but the reference leaves the line where its *last* access in
+            # that step put it: move each timestamp to the last column of
+            # its row that holds the same line.
+            MT, row0, stride_bits, r_bits = repeats
+            col = last_ts & ((1 << r_bits) - 1)
+            row = row0[thr] + (last_ts >> stride_bits)
+            same = MT[:, row] == uniq_lines[g]
+            last_col = same.shape[0] - 1 - np.argmax(same[::-1], axis=0)
+            last_ts += last_col - col
+        order = np.lexsort((last_ts, thr))
         g, thr = g[order], thr[order]
         lines = uniq_lines[g].tolist()
         states = [
@@ -679,7 +745,7 @@ class FastFSDetector(FSDetector):
                     pop(line, None)
             st.update(zip(lines[lo:hi], states[lo:hi]))
 
-        # 6. Evictions (streaming regime): pop each thread's K LRU-front
+        # Evictions (streaming regime): pop each thread's K LRU-front
         # entries — proven untouched by eligibility, so they are exactly
         # the entries the reference would have popped — and clear that
         # thread's holder/writer bits, mirroring the scalar epilogue of

@@ -527,22 +527,36 @@ def _evictions(run, crowded, out, lo, ts_span):
     k = over[i_thr, i_set]
     gids = [(i_thr * S + i_set)[k]]
     times = [i_ts[k]]
-    deltas = [np.ones(gids[0].size, dtype=np.int64)]
+    n_ins = gids[0].size
     v_mask, v_la, v_ts = out.invalidations
     v_set = (v_la + lo) & set_mask
     for t, *_ in crowded:
         sel = (((v_mask >> t) & 1) == 1) & over[t, v_set]
         gids.append(t * S + v_set[sel])
         times.append(v_ts[sel])
-        deltas.append(np.full(gids[-1].size, -1, dtype=np.int64))
     gid = np.concatenate(gids)
     if not gid.size:
         return None
     tsx = np.concatenate(times)
-    order = _order(gid, tsx, ts_span)
-    gid = gid[order]
-    tsx = tsx[order]
-    occ = np.concatenate(deltas)[order]
+    # The (set, timestamp) keys are unique — an insertion is the
+    # thread's own access, an invalidation another thread's write — so
+    # the +1/-1 rides in the key's low bit and the keys sort in place.
+    if int(gid.max()) < (2**61) // ts_span:
+        key = gid * ts_span
+        key += tsx
+        key <<= 1
+        key[:n_ins] |= 1
+        key.sort()
+        occ = key & 1
+        occ <<= 1
+        occ -= 1
+        key >>= 1
+        gid, tsx = np.divmod(key, ts_span)
+    else:
+        order = np.lexsort((tsx, gid))
+        gid = gid[order]
+        tsx = tsx[order]
+        occ = np.where(order < n_ins, 1, -1)
     np.cumsum(occ, out=occ)
     starts = np.flatnonzero(_run_starts(gid))
     before = np.concatenate([[0], occ[starts[1:] - 1]])

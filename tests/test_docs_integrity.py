@@ -19,9 +19,16 @@ REPO = Path(__file__).resolve().parent.parent
 class TestDesignExperimentIndex:
     def test_referenced_benches_exist(self):
         design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
-        for name in re.findall(r"benchmarks/(bench_\w+\.py)", design):
+        for name in re.findall(r"\b(bench_\w+\.py)", design):
             assert (REPO / "benchmarks" / name).exists(), (
                 f"DESIGN.md references missing bench {name}"
+            )
+
+    def test_referenced_tests_exist(self):
+        design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+        for name in re.findall(r"tests/(test_\w+\.py)", design):
+            assert (REPO / "tests" / name).exists(), (
+                f"DESIGN.md references missing test file {name}"
             )
 
     def test_referenced_examples_exist(self):
@@ -77,10 +84,16 @@ class TestPaperMapping:
 
     def test_referenced_tests_exist(self):
         mapping = (REPO / "docs" / "PAPER_MAPPING.md").read_text(encoding="utf-8")
-        for t in re.findall(r"`tests/(test_\w+\.py)", mapping):
+        refs = re.findall(r"`tests/(test_\w+\.py)((?:::\w+)*)`", mapping)
+        for t, names in refs:
             assert (REPO / "tests" / t).exists(), (
                 f"PAPER_MAPPING references missing test file {t}"
             )
+            body = (REPO / "tests" / t).read_text(encoding="utf-8")
+            for name in names.split("::")[1:]:
+                assert re.search(rf"(def|class) {name}\b", body), (
+                    f"PAPER_MAPPING references missing test {t}::{name}"
+                )
 
 
 class TestCliInvocations:

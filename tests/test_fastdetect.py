@@ -294,6 +294,132 @@ class TestDeferredWriteBack:
         assert (states[0], states[1]) == ("S", "M")
 
 
+def _repeat_blocks(rng, T, refs, n_blocks, offset):
+    """Blocks whose threads revisit a few lines within every step.
+
+    Each thread's step draws one to three candidate lines — a hot line
+    every thread shares or the next of its own streaming lines — and
+    each reference picks one of them, so most steps repeat a line.
+    ``offset`` shifts every line id; a negative or huge one sends the
+    core down its two-key lexsort branch.
+    """
+    blocks, base = [], 0
+    lo = -(-MIN_FAST_EVENTS // (T * refs))
+    for _ in range(n_blocks):
+        steps = int(rng.integers(lo, 4 * lo + 40))
+        mats = []
+        for t in range(T):
+            k = int(rng.integers(1, 4))
+            stream = (
+                base + 16 + t * 3
+                + np.arange(steps)[:, None] * int(rng.integers(1, 3))
+                + np.arange(k)[None, :]
+            )
+            hot = rng.integers(0, 8, size=(steps, k))
+            cand = np.where(rng.random((steps, k)) < 0.5, hot, stream)
+            pick = rng.integers(0, k, size=(steps, refs))
+            lines = np.take_along_axis(cand, pick, axis=1) + offset
+            mats.append(lines.astype(np.int64))
+        base += 2 * steps + 40
+        blocks.append(tuple(mats))
+    return blocks
+
+
+class TestSameLineCollapse:
+    """The core keeps one event per (step, thread, line) — the first
+    access, plus the first write after a leading read — and must still
+    equal the reference on everything, LRU order included."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 5),
+        refs=st.integers(2, 18),
+        cap=st.sampled_from([4, 64, 4096]),
+        offset=st.sampled_from([0, -(10**6), -5, 2**58]),
+        readers=st.lists(st.sampled_from(_READERS), min_size=1, max_size=4),
+    )
+    @example(seed=1, T=3, refs=6, cap=4096, offset=2**58,
+             readers=["cache_state", "access"])
+    @example(seed=2, T=2, refs=8, cap=64, offset=-(10**6),
+             readers=["none", "shift_lines"])
+    @settings(deadline=None)
+    def test_repeats_match_the_reference(
+        self, seed, T, refs, cap, offset, readers
+    ):
+        rng = np.random.default_rng(seed)
+        writes = rng.random(refs) < rng.random()
+        order = rng.permutation(T).tolist()
+        blocks = _repeat_blocks(rng, T, refs, len(readers), offset)
+        ref_d = FSDetector(T, cap)
+        fast_d = FastFSDetector(T, cap)
+        for mats, reader in zip(blocks, readers):
+            ref_d.process_block(mats, writes, thread_order=order)
+            fast_d.process_block(mats, writes, thread_order=order)
+            assert _read(fast_d, reader, mats) == _read(ref_d, reader, mats)
+            assert _full_state(fast_d) == _full_state(ref_d)
+
+    @staticmethod
+    def _both(T, cap, mats, writes, order=None):
+        ref_d = FSDetector(T, cap)
+        fast_d = FastFSDetector(T, cap)
+        ref_d.process_block(mats, np.array(writes), thread_order=order)
+        fast_d.process_block(mats, np.array(writes), thread_order=order)
+        assert fast_d.fast_blocks == 1
+        assert _full_state(fast_d) == _full_state(ref_d)
+        return fast_d
+
+    def test_last_access_in_step_is_most_recent(self):
+        """``[L1, L2, L1]`` leaves L1 most recently used, although the
+        collapse keeps L1's first access only."""
+        steps = MIN_FAST_EVENTS
+        s = np.arange(steps, dtype=np.int64)[:, None]
+        mats = (np.hstack([2 * s, 2 * s + 1, 2 * s]),)
+        d = self._both(1, 4096, mats, [False, True, False])
+        last = 2 * (steps - 1)
+        assert [ln for ln, _ in d.cache_state(0)[:2]] == [last, last + 1]
+
+    def test_read_write_read_write_of_a_foreign_modified_line(self):
+        """Thread 1 writes line ``s`` at step ``s``; thread 0 then reads,
+        writes, reads and writes it in the same step.  Its first read is
+        the one FS read (a downgrade) and its first write the one
+        invalidation; the repeats change nothing."""
+        steps = MIN_FAST_EVENTS
+        s = np.arange(steps, dtype=np.int64)[:, None]
+        row = np.repeat(s, 4, axis=1)
+        d = self._both(2, 4096, (row, row), [False, True, False, True],
+                       order=[1, 0])
+        st_ = d.stats
+        assert (st_.fs_read_cases, st_.fs_write_cases) == (steps, 0)
+        assert (st_.downgrades, st_.invalidations) == (steps, steps)
+        assert d.cache_state(1) == []
+        assert d.writers_of(0) == 0b01
+
+    def test_write_read_write_of_a_foreign_modified_line(self):
+        """W, R, W: the first write is the FS write case and takes the
+        line; the read and the second write are the new owner's own."""
+        steps = MIN_FAST_EVENTS
+        s = np.arange(steps, dtype=np.int64)[:, None]
+        row = np.repeat(s, 3, axis=1)
+        d = self._both(2, 4096, (row, row), [True, False, True],
+                       order=[1, 0])
+        st_ = d.stats
+        assert (st_.fs_read_cases, st_.fs_write_cases) == (0, steps)
+        assert st_.invalidations == steps
+        assert st_.misses == 2 * steps
+
+    def test_sixty_three_threads(self):
+        """The widest block the bitmasks allow runs the collapsed core."""
+        T = MAX_FAST_THREADS
+        rng = np.random.default_rng(5)
+        mats = tuple(
+            rng.integers(0, 40, size=(4, 1)).repeat(3, axis=1)
+            + np.array([0, 1, 0]) * (t % 2)
+            for t in range(T)
+        )
+        d = self._both(T, 64, mats, [False, True, False])
+        assert d.stats.fs_cases > 0
+
+
 class TestModelLevelEquivalence:
     """engine="fast" and engine="reference" produce identical results
     through the full model, chunk-run series included."""
