@@ -553,7 +553,7 @@ def _evictions(run, crowded, out, lo, ts_span):
         key >>= 1
         gid, tsx = np.divmod(key, ts_span)
     else:
-        order = np.lexsort((tsx, gid))
+        order = _order(gid, tsx, ts_span)
         gid = gid[order]
         tsx = tsx[order]
         occ = np.where(order < n_ins, 1, -1)
