@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -174,7 +174,8 @@ class FSDetector:
         thread_lines: Sequence[np.ndarray],
         write_mask: np.ndarray,
         thread_order: Sequence[int] | None = None,
-    ) -> None:
+        run_steps: int | None = None,
+    ) -> list[int] | None:
         """Process a lockstep block of ownership lists.
 
         ``thread_lines[t]`` is an ``[n_steps_t, n_refs]`` line-id matrix;
@@ -182,21 +183,73 @@ class FSDetector:
         deterministic interleaving the lockstep model defines — unless
         ``thread_order`` overrides it (used by the interleaving-order
         ablation); each thread performs its references in program order.
+
+        With ``run_steps``, returns the cumulative ``stats.fs_cases``
+        after every ``run_steps`` steps of the block, plus one value for
+        a trailing partial run (``[]`` for an empty block) — the
+        per-chunk-run series behind Fig. 6 and the predictor.
         """
+        if run_steps is not None and run_steps <= 0:
+            raise ModelError(f"run_steps must be positive, got {run_steps}")
         with span("detector.process_block") as sp:
             before = self.stats.fs_cases
-            self._process_block(thread_lines, write_mask, thread_order)
+            series = self._process_block(
+                thread_lines, write_mask, thread_order, run_steps
+            )
             sp.set(
                 steps=self.stats.steps,
                 fs_cases_delta=self.stats.fs_cases - before,
             )
+        return series
 
     def _process_block(
         self,
         thread_lines: Sequence[np.ndarray],
         write_mask: np.ndarray,
         thread_order: Sequence[int] | None = None,
+        run_steps: int | None = None,
+    ) -> list[int] | None:
+        """The reference walk; with ``run_steps``, one run at a time,
+        reading the cumulative FS count after each."""
+        if run_steps is None:
+            self._walk(thread_lines, write_mask, thread_order)
+            return None
+        return [
+            fs for _, fs in self._walk_runs(
+                thread_lines, write_mask, thread_order, run_steps
+            )
+        ]
+
+    def _walk_runs(
+        self,
+        thread_lines: Sequence[np.ndarray],
+        write_mask: np.ndarray,
+        thread_order: Sequence[int] | None,
+        run_steps: int,
+        first: int = 0,
+    ) -> Iterator[tuple[int, int]]:
+        """Walk the block cut at the run boundaries of a longer block it
+        starts ``first`` steps into; yields each piece's run index and
+        the cumulative ``stats.fs_cases`` after it."""
+        n_steps = max((len(m) for m in thread_lines), default=0)
+        s = 0
+        while s < n_steps:
+            run = (first + s) // run_steps
+            stop = min(n_steps, (run + 1) * run_steps - first)
+            self._walk(
+                tuple(m[s:stop] for m in thread_lines), write_mask,
+                thread_order,
+            )
+            yield run, self.stats.fs_cases
+            s = stop
+
+    def _walk(
+        self,
+        thread_lines: Sequence[np.ndarray],
+        write_mask: np.ndarray,
+        thread_order: Sequence[int] | None = None,
     ) -> None:
+        """The scalar walk of one block, access by access."""
         writes = interned_writes(write_mask)
         order = tuple(thread_order) if thread_order is not None else tuple(
             range(self.num_threads)

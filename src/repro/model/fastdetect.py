@@ -51,6 +51,12 @@ fast path therefore:
    shifting or inspection).  A model analysis reads only ``stats`` after
    its last block, so there the write-back never runs.
 
+A caller that needs the cumulative FS count after every chunk run (the
+predictor, Fig. 6) passes ``run_steps``, and the block still takes one
+core call: each FS case lands in the run its step falls in — the step
+field of the timestamp of its segment's first foreign read or leading
+write — and the series is the runs' prefix sums.
+
 Capacity pressure is handled in the common *streaming* shape: when the
 ``K`` evictions a thread's stack needs (``|stack| + |new lines| −
 capacity``) all land on its ``K`` least-recently-used entries and none
@@ -172,7 +178,8 @@ class FastFSDetector(FSDetector):
         thread_lines: Sequence[np.ndarray],
         write_mask: np.ndarray,
         thread_order: Sequence[int] | None = None,
-    ) -> None:
+        run_steps: int | None = None,
+    ) -> list[int] | None:
         order = tuple(thread_order) if thread_order is not None else tuple(
             range(self.num_threads)
         )
@@ -182,15 +189,27 @@ class FastFSDetector(FSDetector):
         if self.mode != "invalidate" or self.num_threads > MAX_FAST_THREADS:
             self.fallback_blocks += 1
             self._fallback_counter.inc()
-            super()._process_block(thread_lines, write_mask, thread_order)
-            return
-        self._dispatch(thread_lines, write_mask, order)
+            return super()._process_block(
+                thread_lines, write_mask, thread_order, run_steps
+            )
+        if run_steps is None:
+            self._dispatch(thread_lines, write_mask, order)
+            return None
+        # The series in one pass: every piece adds its FS cases to the
+        # run they fall in, and the series is the runs' prefix sums.
+        n_steps = max((len(m) for m in thread_lines), default=0)
+        runs = np.zeros(-(-n_steps // run_steps), dtype=np.int64)
+        base = self.stats.fs_cases
+        self._dispatch(thread_lines, write_mask, order, (run_steps, runs))
+        return (base + np.cumsum(runs)).tolist()
 
     def _dispatch(
         self,
         thread_lines: Sequence[np.ndarray],
         write_mask: np.ndarray,
         order: tuple[int, ...],
+        runs: tuple[int, np.ndarray] | None = None,
+        first: int = 0,
     ) -> None:
         """Route a block to the fast core, subdividing under pressure.
 
@@ -201,6 +220,11 @@ class FastFSDetector(FSDetector):
         lines — halving it shrinks the per-piece eviction demand until
         the pieces qualify.  Genuinely thrashing pieces bottom out in
         the scalar path.
+
+        ``runs`` is ``(run_steps, cases per run)`` when the caller
+        samples a series, and ``first`` is this piece's first step in
+        the caller's block: a half need not start on a run boundary, so
+        every piece counts its cases into the block's runs, not its own.
         """
         # The first half's write-back lands before the second half is
         # planned or walked.
@@ -208,22 +232,35 @@ class FastFSDetector(FSDetector):
         if self._fast_eligible(thread_lines):
             self.fast_blocks += 1
             self._fast_counter.inc()
-            self._process_block_fast(thread_lines, write_mask, order)
+            self._process_block_fast(
+                thread_lines, write_mask, order, runs, first
+            )
             return
         n_steps = max((len(m) for m in thread_lines), default=0)
         total = sum(m.size for m in thread_lines)
         if n_steps >= 2 and total >= 2 * MIN_FAST_EVENTS:
             h = n_steps // 2
             self._dispatch(
-                tuple(m[:h] for m in thread_lines), write_mask, order
+                tuple(m[:h] for m in thread_lines), write_mask, order,
+                runs, first,
             )
             self._dispatch(
-                tuple(m[h:] for m in thread_lines), write_mask, order
+                tuple(m[h:] for m in thread_lines), write_mask, order,
+                runs, first + h,
             )
             return
         self.fallback_blocks += 1
         self._fallback_counter.inc()
-        super()._process_block(thread_lines, write_mask, order)
+        if runs is None:
+            self._walk(thread_lines, write_mask, order)
+            return
+        run_steps, per_run = runs
+        before = self.stats.fs_cases
+        for run, fs in self._walk_runs(
+            thread_lines, write_mask, order, run_steps, first
+        ):
+            per_run[run] += fs - before
+            before = fs
 
     def _fast_eligible(self, thread_lines: Sequence[np.ndarray]) -> bool:
         """Whether this block can run vectorized (planning evictions).
@@ -245,9 +282,9 @@ class FastFSDetector(FSDetector):
         self._block_evictions: tuple[tuple[int, int], ...] = ()
         if self.mode != "invalidate" or self.num_threads > MAX_FAST_THREADS:
             return False
-        # Tiny blocks (per-run series sampling, single steps) are faster
-        # through the scalar path than through the array machinery's
-        # fixed setup cost.
+        # Tiny blocks (single steps, short tails) are faster through the
+        # scalar path than through the array machinery's fixed setup
+        # cost.
         if sum(m.size for m in thread_lines) < MIN_FAST_EVENTS:
             return False
         cap = self.stack_lines
@@ -311,6 +348,8 @@ class FastFSDetector(FSDetector):
         thread_lines: Sequence[np.ndarray],
         write_mask: np.ndarray,
         order: tuple[int, ...],
+        runs: tuple[int, np.ndarray] | None = None,
+        first: int = 0,
     ) -> None:
         stats = self.stats
         T = self.num_threads
@@ -561,6 +600,15 @@ class FastFSDetector(FSDetector):
             cnt = np.bincount(wrt * T + acc, minlength=T * T)
             for v in np.flatnonzero(cnt).tolist():
                 by_pair[(v // T, v % T)] += int(cnt[v])
+            if runs is not None:
+                # Each case at its step: the step field of the first
+                # foreign read's or the leading write's timestamp.
+                run_steps, per_run = runs
+                idx = np.concatenate([fs_r_idx, seg_starts[wsel][fs_w_sel]])
+                step = ((key[idx] & ts_mask) >> stride_bits) + first
+                per_run += np.bincount(
+                    step // run_steps, minlength=per_run.size
+                )
 
         # 4d. Exact eviction demand for capacity-tight threads.  A
         # stack's length rises by one at every miss (insert) and falls

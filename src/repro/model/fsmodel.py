@@ -266,6 +266,8 @@ class FalseSharingModel:
         record_series:
             Record the cumulative FS count after every chunk run
             (required by the Fig. 6 linearity study and the predictor).
+            The detector samples it inside each block
+            (``process_block(run_steps=...)``), one call per block.
         space:
             Optional pre-populated address space (shared with other
             models for placement-consistent analyses).
@@ -462,16 +464,17 @@ class FalseSharingModel:
         if steady_runner is not None:
             runs_simulated, runs_extrapolated, series = steady_runner.run()
         elif record_series:
-            # Align block emission to chunk-run boundaries so cumulative
-            # counts are sampled exactly at run ends.
+            # Align block emission to chunk-run boundaries so the
+            # detector samples cumulative counts exactly at run ends.
             runs_per_block = max(1, self.block_steps // max(steps_per_run, 1))
             gen.enum.block_steps = runs_per_block * steps_per_run
             series = []
             for block in gen.blocks(max_steps):
                 if budget is not None:
                     budget.check_deadline(f"analysis of {nest.name}")
-                self._process_block_with_series(
-                    detector, block, gen.write_mask, steps_per_run, series
+                series += detector.process_block(
+                    block.lines, gen.write_mask,
+                    thread_order=self.thread_order, run_steps=steps_per_run,
                 )
         else:
             for block in gen.blocks(max_steps):
@@ -621,14 +624,3 @@ class FalseSharingModel:
             accesses_per_cycle=result.accesses / max(len(series), 1),
             result=result,
         )
-
-    def _process_block_with_series(
-        self, detector, block, write_mask, steps_per_run, series
-    ) -> None:
-        """Process a block one chunk run at a time, sampling cumulative FS."""
-        n_steps = max((len(m) for m in block.lines), default=0)
-        for start in range(0, n_steps, steps_per_run):
-            stop = min(start + steps_per_run, n_steps)
-            sub = tuple(m[start:stop] for m in block.lines)
-            detector.process_block(sub, write_mask, thread_order=self.thread_order)
-            series.append(detector.stats.fs_cases)

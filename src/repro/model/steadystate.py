@@ -307,7 +307,10 @@ class SteadyStateRunner:
     budget:
         Optional deadline budget, checked between detector blocks.
     record_series:
-        Sample cumulative FS cases at every chunk-run boundary.
+        Sample cumulative FS cases at every chunk-run boundary.  Each
+        simulated block is a whole number of chunk runs and the detector
+        samples inside it (``process_block(run_steps=...)``), so batching
+        periods into one block costs the series nothing.
     block_steps:
         Target lockstep steps per detector call; periods are batched up
         to this size so short periods don't pay per-call overhead (any
@@ -361,7 +364,6 @@ class SteadyStateRunner:
         spr = gen.iteration_space.steps_per_chunk_run
         num_threads = gen.num_threads
         thread_order = self.thread_order
-        stats = detector.stats
         lines_counter = get_registry().counter(
             "ownership_line_ids", "line ids generated by the ownership stage"
         ).labels(kernel=gen.nest.name)
@@ -384,18 +386,14 @@ class SteadyStateRunner:
                 n_ids = sum(mat.size for mat in lines)
                 sp.set(line_ids=n_ids)
             lines_counter.inc(n_ids)
-            if series is None:
-                detector.process_block(
-                    lines, write_mask, thread_order=thread_order
-                )
-            else:
-                # Sample cumulative FS cases at every run boundary.
-                for off in range(0, s1 - s0, spr):
-                    sub = tuple(m[off : off + spr] for m in lines)
-                    detector.process_block(
-                        sub, write_mask, thread_order=thread_order
-                    )
-                    series.append(stats.fs_cases)
+            # In series mode the detector samples cumulative FS cases at
+            # every run boundary of the (run-aligned) block.
+            sampled = detector.process_block(
+                lines, write_mask, thread_order=thread_order,
+                run_steps=None if series is None else spr,
+            )
+            if series is not None:
+                series += sampled
         self.runs_simulated += n_runs
 
     # -- window accounting --------------------------------------------------------
